@@ -22,7 +22,7 @@ from typing import List, Optional
 import numpy as np
 
 from .config import ConfigError, MotorConfig, load_config
-from .dynamics import SimulationError, Trajectory, power_balance, simulate_im, simulate_pmsm
+from .dynamics import SimulationError, Trajectory, power_balance, simulate
 from .harmonics import ripple_torque
 from .identify import (
     RankDeficiencyError,
@@ -62,25 +62,16 @@ def _default_out(args, suffix: str) -> Path:
     return out_dir / f"{stem}_{suffix}.csv"
 
 
-def _load(args) -> MotorConfig:
+def cmd_run(args) -> int:
+    """The simulate and im-sim verbs."""
     cfg = load_config(args.config)
-    return cfg
-
-
-def _run_trajectory(cfg: MotorConfig) -> Trajectory:
-    if cfg.model.flux_dim == 4:
-        return simulate_im(cfg.model.params, cfg.initial, cfg.drive, cfg.sim)
-    return simulate_pmsm(cfg.model, cfg.initial, cfg.drive, cfg.sim)
-
-
-def _write_rows(path, header: List[str], rows) -> None:
-    with open(path, "w", newline="") as f:
-        f.write(",".join(header) + "\n")
-        for row in rows:
-            f.write(",".join(f"{v:.17g}" for v in row) + "\n")
-
-
-def _print_run_summary(args, cfg: MotorConfig, traj: Trajectory, out: Path) -> None:
+    if args.verb == "simulate" and cfg.model.flux_dim != 2:
+        raise ConfigError("model.kind: linear_im runs under the im-sim verb")
+    if args.verb == "im-sim" and cfg.model.flux_dim != 4:
+        raise ConfigError("model.kind: im-sim needs a linear_im model")
+    traj = simulate(cfg.model, cfg.initial, cfg.drive, cfg.sim)
+    out = _default_out(args, "traj")
+    traj.write_csv(out)
     final = {name: traj.column(name)[-1] for name in ("t", "theta", "omega", "torque")}
     _say(args, f"wrote {out} ({len(traj)} samples)")
     _say(
@@ -91,32 +82,11 @@ def _print_run_summary(args, cfg: MotorConfig, traj: Trajectory, out: Path) -> N
     _say(args, f"mean torque: {float(np.mean(traj.column('torque'))):.6g} N*m")
     if len(traj) >= 3:
         _say(args, f"power balance residual: {power_balance(cfg.model, traj):.3e}")
-
-
-def cmd_simulate(args) -> int:
-    cfg = _load(args)
-    if cfg.model.flux_dim != 2:
-        raise ConfigError("model.kind: linear_im runs under the im-sim verb")
-    traj = _run_trajectory(cfg)
-    out = _default_out(args, "traj")
-    traj.write_csv(out)
-    _print_run_summary(args, cfg, traj, out)
-    return EXIT_OK
-
-
-def cmd_im_sim(args) -> int:
-    cfg = _load(args)
-    if cfg.model.flux_dim != 4:
-        raise ConfigError("model.kind: im-sim needs a linear_im model")
-    traj = _run_trajectory(cfg)
-    out = _default_out(args, "traj")
-    traj.write_csv(out)
-    _print_run_summary(args, cfg, traj, out)
     return EXIT_OK
 
 
 def cmd_identify(args) -> int:
-    cfg = _load(args)
+    cfg = load_config(args.config)
     samples = read_samples_csv(args.samples)
     if len(samples) < 7:
         raise ConfigError(f"insufficient samples: need at least 7, got {len(samples)}")
@@ -144,7 +114,7 @@ def cmd_identify(args) -> int:
 
 
 def cmd_ripple(args) -> int:
-    cfg = _load(args)
+    cfg = load_config(args.config)
     spec = cfg.ripple
     theta = np.linspace(spec["theta_min"], spec["theta_max"], spec["n_points"])
     phi = np.array(spec["phi"]) if spec["phi"] is not None else cfg.initial.phi
@@ -152,7 +122,8 @@ def cmd_ripple(args) -> int:
         raise ConfigError(f"ripple.phi: expected {cfg.model.flux_dim} components")
     t = ripple_torque(cfg.model, theta, spec["rho"], phi)
     out = _default_out(args, "ripple")
-    _write_rows(out, ["theta", "torque"], np.stack([theta, np.broadcast_to(t, theta.shape)], axis=-1))
+    rows = np.stack([theta, np.broadcast_to(t, theta.shape)], axis=-1)
+    Trajectory(("theta", "torque"), rows).write_csv(out)
     _say(args, f"wrote {out} ({theta.size} points)")
     _say(
         args,
@@ -162,7 +133,7 @@ def cmd_ripple(args) -> int:
 
 
 def cmd_flux_map(args) -> int:
-    cfg = _load(args)
+    cfg = load_config(args.config)
     if cfg.model.flux_dim != 2:
         raise ConfigError("flux_map: needs a two-component flux model")
     d_lo, d_hi, d_n = cfg.flux_map["phi_d"]
@@ -175,13 +146,13 @@ def cmd_flux_map(args) -> int:
     h = np.asarray(cfg.model.evaluate(0.0, 0.0, phi))
     rows = np.column_stack([phi, i, h])
     out = _default_out(args, "fluxmap")
-    _write_rows(out, ["phi_d", "phi_q", "i_d", "i_q", "energy"], rows)
+    Trajectory(("phi_d", "phi_q", "i_d", "i_q", "energy"), rows).write_csv(out)
     _say(args, f"wrote {out} ({rows.shape[0]} grid points)")
     return EXIT_OK
 
 
 def cmd_validate(args) -> int:
-    cfg = _load(args)
+    cfg = load_config(args.config)
     n = cfg.validate["n_samples"]
     tol = cfg.validate["tol"]
     seed = args.seed if args.seed is not None else cfg.seed
@@ -224,13 +195,13 @@ def _override_key(raw: dict, dotted: str, value) -> dict:
 def _sweep_worker(payload):
     raw, out_path = payload
     cfg = MotorConfig(raw)
-    traj = _run_trajectory(cfg)
+    traj = simulate(cfg.model, cfg.initial, cfg.drive, cfg.sim)
     traj.write_csv(out_path)
     return out_path, len(traj)
 
 
 def cmd_sweep(args) -> int:
-    cfg = _load(args)
+    cfg = load_config(args.config)
     if cfg.sweep is None:
         raise ConfigError("sweep: section required for the sweep verb")
     parameter = cfg.sweep["parameter"]
@@ -276,10 +247,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="verb", required=True)
 
     sub.add_parser("simulate", parents=[common], help="integrate a PMSM/SynRM run").set_defaults(
-        func=cmd_simulate
+        func=cmd_run
     )
     sub.add_parser("im-sim", parents=[common], help="integrate an induction machine run").set_defaults(
-        func=cmd_im_sim
+        func=cmd_run
     )
     p_id = sub.add_parser("identify", parents=[common], help="fit saturation parameters")
     p_id.add_argument("--samples", required=True, help="flux/current sample CSV")

@@ -33,8 +33,8 @@ from typing import Callable, Sequence, Tuple
 import numpy as np
 from scipy.integrate import cumulative_simpson
 
-from .energy import EnergyModel, MachineState
-from .induction import ImParams
+from .energy import EnergyModel, MachineState, _torque
+from .induction import ImParams, im_energy
 
 __all__ = [
     "SimConfig",
@@ -276,78 +276,84 @@ class Trajectory:
 
 
 # ---------------------------------------------------------------------------
-# right-hand sides and steppers
+# the simulator: one right-hand side, one record function
 
 
-def _stator_resistance(model: EnergyModel) -> float:
+def _resistances(model: EnergyModel) -> Tuple[float, float]:
+    """(R_s, R_r); R_r is read only for models with a rotor winding."""
     try:
-        return float(model.params.R_s)
+        R_s = float(model.params.R_s)
+        R_r = float(model.params.R_r) if model.flux_dim == 4 else 0.0
     except AttributeError:
         raise TypeError("model must expose params.R_s to be simulated") from None
+    return R_s, R_r
 
 
-def _pmsm_rhs(model: EnergyModel, voltage_fn, load_fn, n_p: int, R_s: float):
-    def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        theta, rho = y[0], y[1]
-        phi = y[2:4]
-        i = model.d_flux(theta, rho, phi)
-        omega = float(model.d_rho(theta, rho, phi))
-        te = -n_p * float(model.d_theta(theta, rho, phi)) + n_p * (
-            i[1] * phi[0] - i[0] * phi[1]
-        )
+def _machine(model: EnergyModel, voltage_fn, load_fn, omega_s: float):
+    """The right-hand side and the record row of the state equations.
+
+    The state is y = (theta, rho, phi).  The stator pair's frame turns at
+    omega for single-winding machines and at omega_s for the induction
+    machine; the rotor pair's frame turns at the slip speed omega_s - omega.
+    Both functions evaluate the model once, through ``model.gradient``, in
+    Python floats.
+    """
+    n_p = model.pole_pairs
+    R_s, R_r = _resistances(model)
+    rotor = model.flux_dim == 4
+    gradient = model.gradient
+
+    def observe(t: float, y: list):
+        theta, rho, *phi = y
+        i, omega, h_theta = gradient(theta, rho, np.array(phi))
+        i = np.asarray(i, dtype=float).tolist()
+        omega = float(omega)
+        te = _torque(n_p, float(h_theta), i[0], i[1], phi[0], phi[1])
         u_d, u_q = voltage_fn(t)
-        t_load = load_fn(t, omega)
-        return np.array(
-            [
-                omega,
-                (te - t_load) / n_p,
-                u_d - R_s * i[0] + omega * phi[1],
-                u_q - R_s * i[1] - omega * phi[0],
-            ]
-        )
+        return theta, rho, phi, i, omega, te, u_d, u_q, load_fn(t, omega)
 
-    return rhs
+    def rhs(t: float, y: list) -> list:
+        _, _, phi, i, omega, te, u_d, u_q, t_load = observe(t, y)
+        w_s = omega_s if rotor else omega
+        dy = [
+            omega,
+            (te - t_load) / n_p,
+            u_d - R_s * i[0] + w_s * phi[1],
+            u_q - R_s * i[1] - w_s * phi[0],
+        ]
+        if rotor:
+            slip = omega_s - omega
+            dy += [-R_r * i[2] + slip * phi[3], -R_r * i[3] - slip * phi[2]]
+        return dy
 
+    def record(t: float, y: list) -> list:
+        theta, rho, phi, i, omega, te, u_d, u_q, t_load = observe(t, y)
+        row = [t, theta, rho, omega, phi[0], phi[1], i[0], i[1], u_d, u_q, te, t_load]
+        if rotor:
+            row += [phi[2], phi[3], i[2], i[3], omega_s * t]
+        return row
 
-def _im_rhs(p: ImParams, voltage_fn, load_fn, omega_s: float):
-    det = p.det
-
-    def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        rho = y[1]
-        phi_sd, phi_sq, phi_rd, phi_rq = y[2], y[3], y[4], y[5]
-        i_sd = (p.L_r * phi_sd - p.L_m * phi_rd) / det
-        i_sq = (p.L_r * phi_sq - p.L_m * phi_rq) / det
-        i_rd = (p.L_s * phi_rd - p.L_m * phi_sd) / det
-        i_rq = (p.L_s * phi_rq - p.L_m * phi_sq) / det
-        omega = p.kinetic_coeff * rho
-        # stator-side cross product: the rotor-side form has the opposite
-        # sign for this model and would break the power bookkeeping
-        te = p.n_p * (i_sq * phi_sd - i_sd * phi_sq)
-        u_d, u_q = voltage_fn(t)
-        t_load = load_fn(t, omega)
-        slip = omega_s - omega
-        return np.array(
-            [
-                omega,
-                (te - t_load) / p.n_p,
-                u_d - p.R_s * i_sd + omega_s * phi_sq,
-                u_q - p.R_s * i_sq - omega_s * phi_sd,
-                -p.R_r * i_rd + slip * phi_rq,
-                -p.R_r * i_rq - slip * phi_rd,
-            ]
-        )
-
-    return rhs
+    return rhs, record
 
 
-def _advance(rhs, t: float, y: np.ndarray, dt: float, method: str) -> np.ndarray:
+def _advance(rhs, t: float, y: list, dt: float, method: str) -> list:
+    # the state is a list of Python floats: for 4 to 6 components this is
+    # cheaper than numpy, and the operations and their order are the same
     if method == "euler":
-        return y + dt * rhs(t, y)
+        return [a + dt * b for a, b in zip(y, rhs(t, y))]
+    h = 0.5 * dt
     k1 = rhs(t, y)
-    k2 = rhs(t + 0.5 * dt, y + 0.5 * dt * k1)
-    k3 = rhs(t + 0.5 * dt, y + 0.5 * dt * k2)
-    k4 = rhs(t + dt, y + dt * k3)
-    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    k2 = rhs(t + h, [a + h * b for a, b in zip(y, k1)])
+    k3 = rhs(t + h, [a + h * b for a, b in zip(y, k2)])
+    k4 = rhs(t + dt, [a + dt * b for a, b in zip(y, k3)])
+    h6 = dt / 6.0
+    return [
+        a + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4) for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)
+    ]
+
+
+def _state_vector(s: MachineState) -> list:
+    return [float(s.theta), float(s.rho), *s.phi.tolist()]
 
 
 def step_pmsm(
@@ -369,16 +375,39 @@ def step_pmsm(
         raise ValueError(f"unknown integrator {method!r}")
     if m.flux_dim != 2:
         raise ValueError("step_pmsm handles two-component flux models")
-    rhs = _pmsm_rhs(m, _as_voltage_fn(u_dq), _as_load_fn(T_l), m.pole_pairs, _stator_resistance(m))
-    y = np.concatenate([[s.theta, s.rho], s.phi])
-    y1 = _advance(rhs, t, y, dt, method)
-    if not np.all(np.isfinite(y1)):
+    rhs, _ = _machine(m, _as_voltage_fn(u_dq), _as_load_fn(T_l), 0.0)
+    y1 = _advance(rhs, t, _state_vector(s), dt, method)
+    if not all(map(math.isfinite, y1)):
         raise SimulationError("non-finite state", t + dt)
-    return MachineState(float(y1[0]), float(y1[1]), y1[2:4])
+    return MachineState(y1[0], y1[1], y1[2:4])
 
 
 def _n_steps(cfg: SimConfig) -> int:
     return max(1, int(round(cfg.t_end / cfg.dt)))
+
+
+def simulate(m: EnergyModel, state0: MachineState, drive: Drive, cfg: SimConfig) -> Trajectory:
+    """Integrate any energy model and record its trajectory.
+
+    Records every ``record_stride``-th step plus the final one.  Columns
+    are PMSM_COLUMNS, or IM_COLUMNS for models with a rotor winding, where
+    the frame angle theta_s = omega_s * t is recorded alongside the state.
+    Currents and torque in the record are evaluated from the model at the
+    recorded states, so the file is self-consistent.  The initial flux must
+    have ``m.flux_dim`` components; the public wrappers and the config
+    loader check that.
+    """
+    rhs, record = _machine(m, _as_voltage_fn(drive.voltage), _as_load_fn(drive.load), cfg.omega_s)
+    n = _n_steps(cfg)
+    y = _state_vector(state0)
+    rows = [record(0.0, y)]
+    for k in range(n):
+        y = _advance(rhs, k * cfg.dt, y, cfg.dt, cfg.integrator)
+        if not all(map(math.isfinite, y)):
+            raise SimulationError("non-finite state", (k + 1) * cfg.dt)
+        if (k + 1) % cfg.record_stride == 0 or k + 1 == n:
+            rows.append(record((k + 1) * cfg.dt, y))
+    return Trajectory(IM_COLUMNS if m.flux_dim == 4 else PMSM_COLUMNS, np.array(rows))
 
 
 def simulate_pmsm(
@@ -387,46 +416,12 @@ def simulate_pmsm(
     drive: Drive,
     cfg: SimConfig,
 ) -> Trajectory:
-    """Integrate the single-winding machine and record the trajectory.
-
-    Records every ``record_stride``-th step plus the final one.  Columns
-    are PMSM_COLUMNS; currents and torque in the record are evaluated from
-    the model at the recorded states, so the file is self-consistent.
-    """
+    """Integrate the single-winding machine and record the trajectory (see :func:`simulate`)."""
     if m.flux_dim != 2:
         raise ValueError("simulate_pmsm handles two-component flux models")
     if np.asarray(state0.phi).shape != (2,):
         raise ValueError("initial flux must have two components")
-    n_p = m.pole_pairs
-    R_s = _stator_resistance(m)
-    voltage_fn = _as_voltage_fn(drive.voltage)
-    load_fn = _as_load_fn(drive.load)
-    rhs = _pmsm_rhs(m, voltage_fn, load_fn, n_p, R_s)
-
-    n = _n_steps(cfg)
-    y = np.concatenate([[state0.theta, state0.rho], state0.phi])
-    rows = []
-
-    def record(k: int, y: np.ndarray):
-        t = k * cfg.dt
-        theta, rho = y[0], y[1]
-        phi = y[2:4]
-        i = m.d_flux(theta, rho, phi)
-        omega = float(m.d_rho(theta, rho, phi))
-        te = -n_p * float(m.d_theta(theta, rho, phi)) + n_p * (i[1] * phi[0] - i[0] * phi[1])
-        u_d, u_q = voltage_fn(t)
-        rows.append(
-            [t, theta, rho, omega, phi[0], phi[1], i[0], i[1], u_d, u_q, te, load_fn(t, omega)]
-        )
-
-    record(0, y)
-    for k in range(n):
-        y = _advance(rhs, k * cfg.dt, y, cfg.dt, cfg.integrator)
-        if not np.all(np.isfinite(y)):
-            raise SimulationError("non-finite state", (k + 1) * cfg.dt)
-        if (k + 1) % cfg.record_stride == 0 or k + 1 == n:
-            record(k + 1, y)
-    return Trajectory(PMSM_COLUMNS, np.array(rows))
+    return simulate(m, state0, drive, cfg)
 
 
 def simulate_im(
@@ -435,64 +430,14 @@ def simulate_im(
     drive: Drive,
     cfg: SimConfig,
 ) -> Trajectory:
-    """Integrate the induction machine in the synchronous frame.
+    """Integrate the induction machine in the synchronous frame (see :func:`simulate`).
 
-    The frame speed cfg.omega_s is constant for the whole run and the frame
-    angle theta_s = omega_s * t is recorded alongside the state.  The drive
+    The frame speed cfg.omega_s is constant for the whole run.  The drive
     voltage is interpreted in this frame.
     """
     if np.asarray(state0.phi).shape != (4,):
         raise ValueError("initial flux must stack stator and rotor pairs (4 components)")
-    voltage_fn = _as_voltage_fn(drive.voltage)
-    load_fn = _as_load_fn(drive.load)
-    rhs = _im_rhs(p, voltage_fn, load_fn, cfg.omega_s)
-    det = p.det
-
-    n = _n_steps(cfg)
-    y = np.concatenate([[state0.theta, state0.rho], state0.phi])
-    rows = []
-
-    def record(k: int, y: np.ndarray):
-        t = k * cfg.dt
-        theta, rho = y[0], y[1]
-        phi_sd, phi_sq, phi_rd, phi_rq = y[2], y[3], y[4], y[5]
-        i_sd = (p.L_r * phi_sd - p.L_m * phi_rd) / det
-        i_sq = (p.L_r * phi_sq - p.L_m * phi_rq) / det
-        i_rd = (p.L_s * phi_rd - p.L_m * phi_sd) / det
-        i_rq = (p.L_s * phi_rq - p.L_m * phi_sq) / det
-        omega = p.kinetic_coeff * rho
-        te = p.n_p * (i_sq * phi_sd - i_sd * phi_sq)
-        u_d, u_q = voltage_fn(t)
-        rows.append(
-            [
-                t,
-                theta,
-                rho,
-                omega,
-                phi_sd,
-                phi_sq,
-                i_sd,
-                i_sq,
-                u_d,
-                u_q,
-                te,
-                load_fn(t, omega),
-                phi_rd,
-                phi_rq,
-                i_rd,
-                i_rq,
-                cfg.omega_s * t,
-            ]
-        )
-
-    record(0, y)
-    for k in range(n):
-        y = _advance(rhs, k * cfg.dt, y, cfg.dt, cfg.integrator)
-        if not np.all(np.isfinite(y)):
-            raise SimulationError("non-finite state", (k + 1) * cfg.dt)
-        if (k + 1) % cfg.record_stride == 0 or k + 1 == n:
-            record(k + 1, y)
-    return Trajectory(IM_COLUMNS, np.array(rows))
+    return simulate(im_energy(p), state0, drive, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -536,13 +481,13 @@ def power_balance(m: EnergyModel, traj: Trajectory) -> float:
     u = np.stack([traj.column("u_d"), traj.column("u_q")], axis=-1)
     omega = traj.column("omega")
     load = traj.column("load")
-    R_s = _stator_resistance(m)
+    R_s, R_r = _resistances(m)
 
     p_in = np.sum(u * i_s, axis=-1)
     p_diss = R_s * np.sum(i_s**2, axis=-1)
     if m.flux_dim == 4:
         i_r = np.stack([traj.column("i_rd"), traj.column("i_rq")], axis=-1)
-        p_diss = p_diss + float(m.params.R_r) * np.sum(i_r**2, axis=-1)
+        p_diss = p_diss + R_r * np.sum(i_r**2, axis=-1)
     p_mech = load * omega / m.pole_pairs
 
     lhs = H - H[0]

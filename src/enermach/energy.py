@@ -1,4 +1,4 @@
-"""Energy model contract and the linear machine models.
+"""Energy model contract and the polynomial magnet machine models.
 
 A machine is described by one scalar function H(theta, rho, phi): rotor
 electrical angle, a momentum-like mechanical state, and the flux linkage
@@ -8,20 +8,31 @@ vector in rotating coordinates.  Everything observable is a derivative:
 * electrical speed   omega = dH/drho
 * torque             T = -n_p * dH/dtheta + n_p * i^T J phi
 
+The linear, reluctance, saturated and harmonic magnet machines are one
+model, :class:`PolynomialEnergy`: a polynomial in the flux deviation from
+the magnet working point times cos/sin of multiples of the rotor angle.
+They differ only in the coefficient table their constructors compile.
+
 All shipped models broadcast: ``phi`` may carry leading batch dimensions
 (shape ``(..., flux_dim)``) with ``theta`` and ``rho`` broadcastable
-against them.
+against them.  One state (a one-dimensional ``phi``) is evaluated in
+Python floats by the same code.
 """
 
 from __future__ import annotations
 
 import abc
+import math
+import warnings
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 __all__ = [
     "EnergyModel",
+    "PolynomialEnergy",
+    "SaturationRangeWarning",
     "LinearPmsmParams",
     "LinearPmsmEnergy",
     "SynrmEnergy",
@@ -62,12 +73,131 @@ class EnergyModel(abc.ABC):
     def d_rho(self, theta, rho, phi):
         """Partial derivative with respect to rho: the electrical speed."""
 
+    def gradient(self, theta, rho, phi):
+        """``(d_flux, d_rho, d_theta)`` in one call; the simulator uses only this.
 
-def _batch_shape(theta, rho, phi):
-    theta = np.asarray(theta, dtype=float)
-    rho = np.asarray(rho, dtype=float)
+        Models override it to share the work of the three derivatives.
+        """
+        return (
+            self.d_flux(theta, rho, phi),
+            self.d_rho(theta, rho, phi),
+            self.d_theta(theta, rho, phi),
+        )
+
+
+class SaturationRangeWarning(UserWarning):
+    """Polynomial evaluated outside the flux box it was fitted on."""
+
+
+def _num(v):
+    """Python floats pass through; anything else becomes a float array."""
+    return v if isinstance(v, float) else np.asarray(v, dtype=float)
+
+
+def _components(phi):
+    """Flux components: Python floats for one state, arrays for a batch."""
     phi = np.asarray(phi, dtype=float)
-    return np.broadcast_shapes(theta.shape, rho.shape, phi.shape[:-1])
+    if phi.ndim == 1:
+        return phi.tolist()
+    return [phi[..., k] for k in range(phi.shape[-1])]
+
+
+def _vector(parts):
+    """Stack per-component results (all floats, or arrays of one shape) on a last axis."""
+    if isinstance(parts[0], float):
+        return np.array(parts)
+    return np.stack(parts, axis=-1)
+
+
+def _zeros(*values):
+    """0.0 when every value is a Python float, else zeros of their broadcast shape."""
+    for v in values:
+        if not isinstance(v, float):
+            return np.zeros(np.broadcast_shapes(*(np.shape(v) for v in values)))
+    return 0.0
+
+
+# ---------------------------------------------------------------------------
+# monomial tables and the kernel that evaluates them
+#
+# A table is a tuple of rows (w, a, b), one per angle order w, standing for
+# sum_w [sum a_ij x**i y**j] cos(w theta) + [sum b_ij x**i y**j] sin(w theta);
+# a and b map exponent pairs (i, j) to nonzero coefficients.
+
+
+def _table(rows) -> tuple:
+    table = []
+    for w, a, b in rows:
+        a = {ij: float(c) for ij, c in a.items() if c != 0.0}
+        b = {ij: float(c) for ij, c in b.items() if c != 0.0} if w else {}
+        if a or b:
+            table.append((float(w), a, b))
+    return tuple(table)
+
+
+def _d_flux_table(table: tuple, axis: int) -> tuple:
+    """Table of the derivative along x (axis 0) or y (axis 1)."""
+
+    def derive(terms):
+        return {
+            (i - (axis == 0), j - (axis == 1)): (i, j)[axis] * c
+            for (i, j), c in terms.items()
+            if (i, j)[axis]
+        }
+
+    return _table((w, derive(a), derive(b)) for w, a, b in table)
+
+
+def _d_theta_table(table: tuple) -> tuple:
+    """Table of the derivative along theta: a cos + b sin -> w (b cos - a sin)."""
+    return _table(
+        (w, {ij: w * c for ij, c in b.items()}, {ij: -w * c for ij, c in a.items()})
+        for w, a, b in table
+    )
+
+
+def _cos_sin(w: float, theta):
+    if isinstance(theta, float):
+        a = w * theta
+        if math.isfinite(a):
+            return math.cos(a), math.sin(a)
+    a = w * np.asarray(theta, dtype=float)
+    return np.cos(a), np.sin(a)
+
+
+def _poly(terms, xp, yp):
+    acc = 0.0
+    for (i, j), c in terms.items():
+        acc = acc + c * xp[i] * yp[j]
+    return acc
+
+
+def _kernel(tables: Sequence[tuple], degree: int, theta, x, y, zero):
+    """Evaluate each table at (theta, x, y); results start from ``zero``.
+
+    Powers of x and y are built once, up to ``degree`` (no exponent in the
+    tables may exceed it), and cos/sin once per angle order.  Only
+    arithmetic operators touch x, y and theta, so Python floats (one state)
+    and arrays (a batch) run the same code.
+    """
+    xp, yp = [1.0, x], [1.0, y]
+    for _ in range(degree - 1):
+        xp.append(xp[-1] * x)
+        yp.append(yp[-1] * y)
+    trig = {}
+    out = []
+    for t in tables:
+        total = zero
+        for w, a, b in t:
+            value = _poly(a, xp, yp)
+            if w:
+                if w not in trig:
+                    trig[w] = _cos_sin(w, theta)
+                cos_w, sin_w = trig[w]
+                value = value * cos_w + _poly(b, xp, yp) * sin_w
+            total = total + value
+        out.append(total)
+    return out
 
 
 @dataclass(frozen=True)
@@ -110,39 +240,88 @@ class LinearPmsmParams:
             raise ValueError("R_s must be non-negative")
 
 
-class LinearPmsmEnergy(EnergyModel):
+class PolynomialEnergy(EnergyModel):
+    """Magnet machine whose magnetic energy is a polynomial with angle harmonics.
+
+        H = kappa*rho**2/2 + sum_w [A_w(x, y) cos(w theta) + B_w(x, y) sin(w theta)]
+
+    with x = phi_d - phi_M, y = phi_q and angle orders w = 0 or 6k.
+    ``orders`` lists ``(w, a, b)``: a and b map exponent pairs (i, j) to the
+    coefficients of x**i y**j in A_w and B_w.  The constructor compiles the
+    monomial tables of H, dH/dx, dH/dy and dH/dtheta once; every method is
+    one pass of the shared kernel over the tables it needs.
+
+    ``box`` is the half-width of the flux box |x|, |y| <= box the
+    coefficients are trusted in; outside it the model warns
+    (:class:`SaturationRangeWarning`) and still evaluates.  ``None`` never
+    warns.
+    """
+
+    flux_dim = 2
+
+    def __init__(self, orders, phi_M: float, kinetic_coeff: float, n_p: int, box=None):
+        self.pole_pairs = int(n_p)
+        self._phi_M = float(phi_M)
+        self._kappa = float(kinetic_coeff)
+        self._box = box
+        self._h = _table(orders)
+        self._h_x = _d_flux_table(self._h, 0)
+        self._h_y = _d_flux_table(self._h, 1)
+        self._h_theta = _d_theta_table(self._h)
+        self._degree = max((max(ij) for _, a, b in self._h for ij in (*a, *b)), default=0)
+
+    def _deviation(self, theta, rho, phi):
+        phi_d, y = _components(phi)
+        x = phi_d - self._phi_M
+        if self._box is not None:
+            # one state is checked in floats; only a batch pays for reductions
+            if isinstance(x, float):
+                worst = max(abs(x), abs(y))
+            else:
+                worst = max(float(np.max(np.abs(x))), float(np.max(np.abs(y))))
+            if worst > self._box:
+                warnings.warn(
+                    f"flux deviation {worst:.4g} Wb exceeds the saturation model's "
+                    f"fitted range |x|,|y| <= {self._box:.4g} Wb",
+                    SaturationRangeWarning,
+                    stacklevel=3,
+                )
+        return x, y, _zeros(theta, rho, x)
+
+    def evaluate(self, theta, rho, phi):
+        x, y, zero = self._deviation(theta, rho, phi)
+        (h,) = _kernel((self._h,), self._degree, theta, x, y, zero)
+        rho = _num(rho)
+        return 0.5 * self._kappa * (rho * rho) + h
+
+    def d_flux(self, theta, rho, phi):
+        x, y, zero = self._deviation(theta, rho, phi)
+        return _vector(_kernel((self._h_x, self._h_y), self._degree, theta, x, y, zero))
+
+    def d_theta(self, theta, rho, phi):
+        x, y, zero = self._deviation(theta, rho, phi)
+        return _kernel((self._h_theta,), self._degree, theta, x, y, zero)[0]
+
+    def d_rho(self, theta, rho, phi):
+        return self._kappa * _num(rho)
+
+    def gradient(self, theta, rho, phi):
+        x, y, zero = self._deviation(theta, rho, phi)
+        tables = (self._h_x, self._h_y, self._h_theta)
+        i_d, i_q, h_theta = _kernel(tables, self._degree, theta, x, y, zero)
+        return _vector((i_d, i_q)), self._kappa * _num(rho), h_theta
+
+
+class LinearPmsmEnergy(PolynomialEnergy):
     """Quadratic energy: kinetic term plus one quadratic well per axis.
 
     H = kappa*rho**2/2 + (phi_d - phi_M)**2/(2 L_d) + phi_q**2/(2 L_q)
     """
 
-    flux_dim = 2
-
     def __init__(self, params: LinearPmsmParams):
         self.params = params
-        self.pole_pairs = int(params.n_p)
-
-    def evaluate(self, theta, rho, phi):
-        p = self.params
-        phi = np.asarray(phi, dtype=float)
-        rho = np.asarray(rho, dtype=float)
-        x = phi[..., 0] - p.phi_M
-        y = phi[..., 1]
-        return 0.5 * p.kinetic_coeff * rho**2 + x**2 / (2.0 * p.L_d) + y**2 / (2.0 * p.L_q)
-
-    def d_flux(self, theta, rho, phi):
-        p = self.params
-        phi = np.asarray(phi, dtype=float)
-        x = phi[..., 0] - p.phi_M
-        y = phi[..., 1]
-        return np.stack([x / p.L_d, y / p.L_q], axis=-1)
-
-    def d_theta(self, theta, rho, phi):
-        return np.zeros(_batch_shape(theta, rho, phi))
-
-    def d_rho(self, theta, rho, phi):
-        del theta, phi
-        return self.params.kinetic_coeff * np.asarray(rho, dtype=float)
+        wells = {(2, 0): 0.5 / params.L_d, (0, 2): 0.5 / params.L_q}
+        super().__init__([(0, wells, {})], params.phi_M, params.kinetic_coeff, params.n_p)
 
 
 class SynrmEnergy(LinearPmsmEnergy):
@@ -172,20 +351,20 @@ def speed(m: EnergyModel, theta, rho, phi):
 
 
 def torque(m: EnergyModel, theta, rho, phi):
-    """Electromagnetic torque.
+    """Electromagnetic torque, T = -n_p * dH/dtheta + n_p * (i_q*phi_d - i_d*phi_q).
 
-    T = -n_p * dH/dtheta + n_p * (i_q*phi_d - i_d*phi_q).  For four-flux
-    models (stator plus rotor winding) the cross product term is taken on
-    the rotor pair, matching the rotor-side expression i_r^T J phi_r.
+    The cross product is taken on the first (stator) flux pair for every
+    model; with it the power balance of a simulated run closes.
     """
     phi = np.asarray(phi, dtype=float)
-    i = m.d_flux(theta, rho, phi)
-    n_p = m.pole_pairs
-    if m.flux_dim == 4:
-        cross = i[..., 3] * phi[..., 2] - i[..., 2] * phi[..., 3]
-    else:
-        cross = i[..., 1] * phi[..., 0] - i[..., 0] * phi[..., 1]
-    return -n_p * m.d_theta(theta, rho, phi) + n_p * cross
+    i, _, h_theta = m.gradient(theta, rho, phi)
+    i = np.asarray(i, dtype=float)
+    return _torque(m.pole_pairs, h_theta, i[..., 0], i[..., 1], phi[..., 0], phi[..., 1])
+
+
+def _torque(n_p, h_theta, i_d, i_q, phi_d, phi_q):
+    # the one torque expression: torque(), the simulator and its record use it
+    return -n_p * h_theta + n_p * (i_q * phi_d - i_d * phi_q)
 
 
 def numeric_gradient(f, x, scale: float = 1.0e-6) -> np.ndarray:

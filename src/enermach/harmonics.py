@@ -24,8 +24,8 @@ from typing import Mapping, Optional, Tuple
 
 import numpy as np
 
-from .energy import EnergyModel
-from .saturation import SaturatedPmsmEnergy, SaturationCoefficients
+from .energy import EnergyModel, PolynomialEnergy, _d_flux_table, _kernel, _table, _zeros, torque
+from .saturation import SaturationCoefficients, _quartic_terms
 
 __all__ = [
     "FluxPolynomial",
@@ -67,23 +67,17 @@ class FluxPolynomial:
         object.__setattr__(self, "coeffs", clean)
 
     def value(self, x, y):
-        out = np.zeros(np.broadcast_shapes(np.shape(x), np.shape(y)))
-        for (i, j), c in self.coeffs.items():
-            out = out + c * np.asarray(x) ** i * np.asarray(y) ** j
-        return out
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        table = _table([(0, self.coeffs, {})])
+        return _kernel((table,), _MAX_DEGREE, 0.0, x, y, _zeros(x, y))[0]
 
     def grad(self, x, y):
         """(d/dx, d/dy), each broadcast like the inputs."""
-        shape = np.broadcast_shapes(np.shape(x), np.shape(y))
-        gx = np.zeros(shape)
-        gy = np.zeros(shape)
-        x = np.asarray(x)
-        y = np.asarray(y)
-        for (i, j), c in self.coeffs.items():
-            if i > 0:
-                gx = gx + c * i * x ** (i - 1) * y**j
-            if j > 0:
-                gy = gy + c * j * x**i * y ** (j - 1)
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        table = _table([(0, self.coeffs, {})])
+        gx, gy = _kernel(
+            (_d_flux_table(table, 0), _d_flux_table(table, 1)), _MAX_DEGREE, 0.0, x, y, _zeros(x, y)
+        )
         return gx, gy
 
     def even_in_y(self) -> bool:
@@ -170,59 +164,16 @@ class HarmonicModel:
             raise ValueError("duplicate harmonic order k; merge the amplitude polynomials")
 
 
-class HarmonicPmsmEnergy(EnergyModel):
+class HarmonicPmsmEnergy(PolynomialEnergy):
     """Energy model with explicit rotor-angle dependence."""
-
-    flux_dim = 2
 
     def __init__(self, model: HarmonicModel):
         self.harmonic_model = model
-        self.params = model.base
-        self.pole_pairs = int(model.base.n_p)
-        self._base = SaturatedPmsmEnergy(model.base)
-
-    def _xy(self, phi):
-        phi = np.asarray(phi, dtype=float)
-        return phi[..., 0] - self.params.phi_M, phi[..., 1]
-
-    def evaluate(self, theta, rho, phi):
-        theta = np.asarray(theta, dtype=float)
-        x, y = self._xy(phi)
-        out = self._base.evaluate(theta, rho, phi)
-        for t in self.harmonic_model.terms:
-            ang = 6.0 * t.k * theta
-            out = out + t.a_poly.value(x, y) * np.cos(ang) + t.b_poly.value(x, y) * np.sin(ang)
-        return out
-
-    def d_flux(self, theta, rho, phi):
-        theta = np.asarray(theta, dtype=float)
-        x, y = self._xy(phi)
-        base = self._base.d_flux(theta, rho, phi)
-        i_d = base[..., 0]
-        i_q = base[..., 1]
-        for t in self.harmonic_model.terms:
-            ang = 6.0 * t.k * theta
-            cos_a, sin_a = np.cos(ang), np.sin(ang)
-            ax, ay = t.a_poly.grad(x, y)
-            bx, by = t.b_poly.grad(x, y)
-            i_d = i_d + ax * cos_a + bx * sin_a
-            i_q = i_q + ay * cos_a + by * sin_a
-        return np.stack(np.broadcast_arrays(i_d, i_q), axis=-1)
-
-    def d_theta(self, theta, rho, phi):
-        theta = np.asarray(theta, dtype=float)
-        x, y = self._xy(phi)
-        out = self._base.d_theta(theta, rho, phi)
-        for t in self.harmonic_model.terms:
-            w = 6.0 * t.k
-            ang = w * theta
-            out = out + w * (
-                -t.a_poly.value(x, y) * np.sin(ang) + t.b_poly.value(x, y) * np.cos(ang)
-            )
-        return out
-
-    def d_rho(self, theta, rho, phi):
-        return self._base.d_rho(theta, rho, phi)
+        self.params = c = model.base
+        orders = [(0, _quartic_terms(c), {})]
+        orders += [(6.0 * t.k, t.a_poly.coeffs, t.b_poly.coeffs) for t in model.terms]
+        box = c.phi_M if c.phi_M > 0.0 else None
+        super().__init__(orders, c.phi_M, c.kinetic_coeff, c.n_p, box)
 
 
 def harmonic_energy(m: HarmonicModel) -> HarmonicPmsmEnergy:
@@ -236,8 +187,6 @@ def ripple_torque(model: EnergyModel, theta_grid, rho, phi):
     The grid must span at least one ripple period pi/3 so periodicity and
     spectral claims can actually be checked on the result.
     """
-    from .energy import torque
-
     theta_grid = np.asarray(theta_grid, dtype=float)
     if theta_grid.size < 2 or theta_grid.max() - theta_grid.min() < np.pi / 3.0 - 1e-12:
         raise ValueError("theta grid must span at least pi/3")

@@ -25,7 +25,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .energy import EnergyModel
+from .energy import EnergyModel, _components, _num, _vector, _zeros, torque
 
 __all__ = [
     "ImParams",
@@ -106,10 +106,8 @@ class ImFlux:
 
 def im_currents(p: ImParams, f: ImFlux) -> Tuple[np.ndarray, np.ndarray]:
     """Stator and rotor currents from the flux pair."""
-    d = p.det
-    i_s = (p.L_r * f.phi_s - p.L_m * f.phi_r) / d
-    i_r = (p.L_s * f.phi_r - p.L_m * f.phi_s) / d
-    return i_s, i_r
+    i = ImEnergy(p).d_flux(0.0, 0.0, f.as_vector())
+    return i[..., 0:2], i[..., 2:4]
 
 
 def invert_currents(p: ImParams, i_s, i_r) -> ImFlux:
@@ -120,14 +118,8 @@ def invert_currents(p: ImParams, i_s, i_r) -> ImFlux:
 
 
 def im_torque(p: ImParams, f: ImFlux) -> float:
-    """Rotor-side torque expression n_p * i_r x phi_r.
-
-    For this model it equals -n_p * i_s x phi_s; the simulator uses the
-    stator-side sign so the power bookkeeping closes (see dynamics).
-    """
-    _, i_r = im_currents(p, f)
-    cross = i_r[..., 1] * f.phi_r[..., 0] - i_r[..., 0] * f.phi_r[..., 1]
-    return p.n_p * cross
+    """Electromagnetic torque n_p * (i_sq*phi_sd - i_sd*phi_sq): :func:`torque` of the model."""
+    return torque(ImEnergy(p), 0.0, 0.0, f.as_vector())
 
 
 class ImEnergy(EnergyModel):
@@ -138,6 +130,7 @@ class ImEnergy(EnergyModel):
     def __init__(self, params: ImParams):
         self.params = params
         self.pole_pairs = int(params.n_p)
+        self._det = params.det
 
     def evaluate(self, theta, rho, phi):
         p = self.params
@@ -157,22 +150,29 @@ class ImEnergy(EnergyModel):
         )
 
     def d_flux(self, theta, rho, phi):
-        p = self.params
-        phi = np.asarray(phi, dtype=float)
-        f = ImFlux.from_vector(phi)
-        i_s, i_r = im_currents(p, f)
-        return np.concatenate([i_s, i_r], axis=-1)
+        return _vector(self._currents(phi))
 
     def d_theta(self, theta, rho, phi):
-        theta = np.asarray(theta, dtype=float)
-        rho = np.asarray(rho, dtype=float)
-        phi = np.asarray(phi, dtype=float)
-        shape = np.broadcast_shapes(theta.shape, rho.shape, phi.shape[:-1])
-        return np.zeros(shape)
+        return self.gradient(theta, rho, phi)[2]
 
     def d_rho(self, theta, rho, phi):
-        del theta, phi
-        return self.params.kinetic_coeff * np.asarray(rho, dtype=float)
+        return self.params.kinetic_coeff * _num(rho)
+
+    def gradient(self, theta, rho, phi):
+        i = self._currents(phi)
+        return _vector(i), self.params.kinetic_coeff * _num(rho), _zeros(theta, rho, i[0])
+
+    def _currents(self, phi):
+        # D*i_s = L_r*phi_s - L_m*phi_r, D*i_r = L_s*phi_r - L_m*phi_s; one
+        # state stays in Python floats, which keeps the simulator step cheap
+        p = self.params
+        s_d, s_q, r_d, r_q = _components(phi)
+        return (
+            (p.L_r * s_d - p.L_m * r_d) / self._det,
+            (p.L_r * s_q - p.L_m * r_q) / self._det,
+            (p.L_s * r_d - p.L_m * s_d) / self._det,
+            (p.L_s * r_q - p.L_m * s_q) / self._det,
+        )
 
 
 def im_energy(p: ImParams) -> ImEnergy:

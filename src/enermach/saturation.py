@@ -15,12 +15,20 @@ convert between the two.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import EnergyModel
+from .energy import (
+    PolynomialEnergy,
+    SaturationRangeWarning,
+    _components,
+    _d_flux_table,
+    _kernel,
+    _table,
+    _vector,
+    _zeros,
+)
 
 __all__ = [
     "SaturationCoefficients",
@@ -42,10 +50,6 @@ SCALED_KEYS = (
     "phiM4_alpha_22",
     "phiM4_alpha_04",
 )
-
-
-class SaturationRangeWarning(UserWarning):
-    """Polynomial evaluated outside the flux box it was fitted on."""
 
 
 @dataclass(frozen=True)
@@ -130,96 +134,42 @@ class SaturationCoefficients:
         }
 
 
-def _warn_outside_box(c: SaturationCoefficients, x, y):
-    # The quartic is only trustworthy inside the flux box it was fitted on;
-    # evaluation proceeds anyway.
-    if c.phi_M <= 0.0:
-        return
-    worst = max(float(np.max(np.abs(x))), float(np.max(np.abs(y))))
-    if worst > c.phi_M:
-        warnings.warn(
-            f"flux deviation {worst:.4g} Wb exceeds the saturation model's "
-            f"fitted range |x|,|y| <= {c.phi_M:.4g} Wb",
-            SaturationRangeWarning,
-            stacklevel=3,
-        )
+def _quartic_terms(c: SaturationCoefficients) -> dict:
+    """Coefficients of x**i y**j in H_mag, keyed by (i, j)."""
+    return {
+        (2, 0): 0.5 * c.inv_L_d,
+        (0, 2): 0.5 * c.inv_L_q,
+        (3, 0): c.alpha_30,
+        (1, 2): c.alpha_12,
+        (4, 0): c.alpha_40,
+        (2, 2): c.alpha_22,
+        (0, 4): c.alpha_04,
+    }
 
 
 def saturated_currents(c: SaturationCoefficients, phi):
     """Currents (i_d, i_q) = dH_mag/dphi of the quartic model, shape (..., 2)."""
-    phi = np.asarray(phi, dtype=float)
-    x = phi[..., 0] - c.phi_M
-    y = phi[..., 1]
-    _warn_outside_box(c, x, y)
-    i_d = (
-        c.inv_L_d * x
-        + 3.0 * c.alpha_30 * x**2
-        + c.alpha_12 * y**2
-        + 4.0 * c.alpha_40 * x**3
-        + 2.0 * c.alpha_22 * x * y**2
-    )
-    i_q = (
-        c.inv_L_q * y
-        + 2.0 * c.alpha_12 * x * y
-        + 2.0 * c.alpha_22 * x**2 * y
-        + 4.0 * c.alpha_04 * y**3
-    )
-    return np.stack([i_d, i_q], axis=-1)
+    return SaturatedPmsmEnergy(c).d_flux(0.0, 0.0, phi)
 
 
 def incremental_inductance(c: SaturationCoefficients, phi):
     """Jacobian di/dphi of the quartic model, symmetric, shape (..., 2, 2), 1/H."""
-    phi = np.asarray(phi, dtype=float)
-    x = phi[..., 0] - c.phi_M
-    y = phi[..., 1]
-    dd = c.inv_L_d + 6.0 * c.alpha_30 * x + 12.0 * c.alpha_40 * x**2 + 2.0 * c.alpha_22 * y**2
-    dq = 2.0 * c.alpha_12 * y + 4.0 * c.alpha_22 * x * y
-    qq = c.inv_L_q + 2.0 * c.alpha_12 * x + 2.0 * c.alpha_22 * x**2 + 12.0 * c.alpha_04 * y**2
-    row_d = np.stack([dd, dq], axis=-1)
-    row_q = np.stack([dq, qq], axis=-1)
-    return np.stack([row_d, row_q], axis=-2)
+    phi_d, y = _components(phi)
+    x = phi_d - c.phi_M
+    h = _table([(0, _quartic_terms(c), {})])
+    h_x, h_y = _d_flux_table(h, 0), _d_flux_table(h, 1)
+    hessian = (_d_flux_table(h_x, 0), _d_flux_table(h_x, 1), _d_flux_table(h_y, 1))
+    dd, dq, qq = _kernel(hessian, 2, 0.0, x, y, _zeros(x))
+    return np.stack([_vector((dd, dq)), _vector((dq, qq))], axis=-2)
 
 
-class SaturatedPmsmEnergy(EnergyModel):
+class SaturatedPmsmEnergy(PolynomialEnergy):
     """Energy model built on :class:`SaturationCoefficients`."""
 
-    flux_dim = 2
-
     def __init__(self, coefficients: SaturationCoefficients):
-        self.params = coefficients
-        self.pole_pairs = int(coefficients.n_p)
-
-    def evaluate(self, theta, rho, phi):
-        c = self.params
-        phi = np.asarray(phi, dtype=float)
-        rho = np.asarray(rho, dtype=float)
-        x = phi[..., 0] - c.phi_M
-        y = phi[..., 1]
-        _warn_outside_box(c, x, y)
-        return (
-            0.5 * c.kinetic_coeff * rho**2
-            + 0.5 * c.inv_L_d * x**2
-            + 0.5 * c.inv_L_q * y**2
-            + c.alpha_30 * x**3
-            + c.alpha_12 * x * y**2
-            + c.alpha_40 * x**4
-            + c.alpha_22 * x**2 * y**2
-            + c.alpha_04 * y**4
-        )
-
-    def d_flux(self, theta, rho, phi):
-        return saturated_currents(self.params, phi)
-
-    def d_theta(self, theta, rho, phi):
-        theta = np.asarray(theta, dtype=float)
-        rho = np.asarray(rho, dtype=float)
-        phi = np.asarray(phi, dtype=float)
-        shape = np.broadcast_shapes(theta.shape, rho.shape, phi.shape[:-1])
-        return np.zeros(shape)
-
-    def d_rho(self, theta, rho, phi):
-        del theta, phi
-        return self.params.kinetic_coeff * np.asarray(rho, dtype=float)
+        self.params = c = coefficients
+        box = c.phi_M if c.phi_M > 0.0 else None
+        super().__init__([(0, _quartic_terms(c), {})], c.phi_M, c.kinetic_coeff, c.n_p, box)
 
 
 def saturated_energy(c: SaturationCoefficients) -> SaturatedPmsmEnergy:
