@@ -1,8 +1,8 @@
 """Every layer gives the same numbers at the same state.
 
 A simulated run records currents, speed and torque next to the state.
-Those columns must equal what the model methods and ``torque()`` return
-at the recorded states, for every shipped machine.
+Those columns must equal what the model methods, ``torque()`` and the
+``ripple`` sampler return at the recorded states, for every shipped machine.
 """
 
 import numpy as np
@@ -12,6 +12,7 @@ import yaml
 from enermach.config import MotorConfig
 from enermach.dynamics import simulate_im, simulate_pmsm
 from enermach.energy import torque
+from enermach.harmonics import ripple_torque
 from helpers import CONFIG_DIR
 
 SHIPPED = ("linear_ipm", "synrm", "saturated_ipm", "saturated_spm", "harmonic_ipm", "im_2kw")
@@ -47,3 +48,15 @@ def test_recorded_columns_match_the_model(name):
     recorded_torque = traj.column("torque")
     assert np.max(np.abs(recorded_torque)) > 0.0, f"{name}: the run must produce torque"
     _assert_close(recorded_torque, torque(m, theta, rho, phi), f"{name}: torque")
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_ripple_matches_the_recorded_torque(name):
+    # the last row: every shipped initial state has zero torque
+    m, traj = _short_run(name)
+    k = len(traj) - 1
+    theta, rho, phi = traj.column("theta")[k], traj.column("rho")[k], traj.flux()[k]
+    grid = theta + np.linspace(0.0, np.pi / 3.0, 7)
+    recorded = traj.column("torque")[k]
+    assert recorded != 0.0, f"{name}: the run must produce torque"
+    assert abs(ripple_torque(m, grid, rho, phi)[0] - recorded) <= 1.0e-12 * abs(recorded), name

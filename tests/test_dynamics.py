@@ -306,6 +306,18 @@ def test_table_drives():
     tl = TableLoad(times=(0.0, 1.0), torque=(0.5, 1.5))
     assert tl(0.3, 0.0) == 0.5
     assert tl(1.0, 0.0) == 1.5
+    # every breakpoint, every gap, both ends: the index rule is
+    # searchsorted(side="right") - 1, clamped at the first entry
+    times = (-0.25, 0.0, 0.1, 0.35, 1.0, 2.5)
+    values = tuple(float(v) for v in range(10, 10 + len(times)))
+    tv = TableVoltage(times=times, u_d=values, u_q=tuple(-v for v in values))
+    tl = TableLoad(times=times, torque=values)
+    gaps = [0.5 * (a + b) for a, b in zip(times, times[1:])]
+    probes = list(times) + gaps + [times[0] - 1.0, np.nextafter(times[0], -np.inf), times[-1] + 1.0]
+    for t in probes:
+        k = max(int(np.searchsorted(times, t, side="right")) - 1, 0)
+        assert tv(t) == (values[k], -values[k]), t
+        assert tl(t, 0.0) == values[k], t
     with pytest.raises(ValueError, match="strictly increasing"):
         TableVoltage(times=(0.0, 0.0), u_d=(1.0, 1.0), u_q=(0.0, 0.0))
     with pytest.raises(ValueError, match="match the time grid"):
