@@ -94,7 +94,13 @@ def _take(d: Dict[str, Any], key: str, path: str, required: bool = False, defaul
 def _number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise _fail(path, f"expected a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise _fail(path, f"expected a finite number, got {value!r}")
+    return number
 
 def _integer(value, path: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):

@@ -99,6 +99,9 @@ class SimConfig:
     omega_s: float = 0.0
 
     def __post_init__(self):
+        for key in ("dt", "t_end", "omega_s"):
+            if not math.isfinite(getattr(self, key)):
+                raise ValueError(f"{key} must be finite")
         if self.dt <= 0.0:
             raise ValueError("dt must be positive")
         if self.t_end < self.dt:
@@ -261,8 +264,11 @@ class Trajectory:
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as f:
             f.write(",".join(self.columns) + "\n")
-            for row in self.data:
-                f.write(",".join(f"{v:.17g}" for v in row) + "\n")
+            row = ",".join(["{:.17g}"] * len(self.columns)) + "\n"
+            # one row at a time: a whole-array tolist() would hold every
+            # value as a Python float at once
+            for values in self.data:
+                f.write(row.format(*values.tolist()))
 
     @classmethod
     def read_csv(cls, path) -> "Trajectory":
@@ -293,20 +299,18 @@ def _machine(model: EnergyModel, voltage_fn, load_fn, omega_s: float):
     The state is y = (theta, rho, phi).  The stator pair's frame turns at
     omega for single-winding machines and at omega_s for the induction
     machine; the rotor pair's frame turns at the slip speed omega_s - omega.
-    Both functions evaluate the model once, through ``model.gradient``, in
-    Python floats.
+    Both functions evaluate the model once, through
+    ``model._step_gradient``, in Python floats.
     """
     n_p = model.pole_pairs
     R_s, R_r = _resistances(model)
     rotor = model.flux_dim == 4
-    gradient = model.gradient
+    step_gradient = model._step_gradient
 
     def observe(t: float, y: list):
         theta, rho, *phi = y
-        i, omega, h_theta = gradient(theta, rho, np.array(phi))
-        i = np.asarray(i, dtype=float).tolist()
-        omega = float(omega)
-        te = _torque(n_p, float(h_theta), i[0], i[1], phi[0], phi[1])
+        i, omega, h_theta = step_gradient(theta, rho, phi)
+        te = _torque(n_p, h_theta, i[0], i[1], phi[0], phi[1])
         u_d, u_q = voltage_fn(t)
         return theta, rho, phi, i, omega, te, u_d, u_q, load_fn(t, omega)
 
@@ -336,7 +340,9 @@ def _machine(model: EnergyModel, voltage_fn, load_fn, omega_s: float):
 
 def _advance(rhs, t: float, y: list, dt: float, method: str) -> list:
     # the state is a list of Python floats: for 4 to 6 components this is
-    # cheaper than numpy, and the operations and their order are the same
+    # cheaper than numpy, and the operations and their order are the same;
+    # each rhs call evaluates the model once, through its float-in/float-out
+    # _step_gradient, so no stage converts to numpy and back
     if method == "euler":
         return [a + dt * b for a, b in zip(y, rhs(t, y))]
     h = 0.5 * dt

@@ -11,12 +11,16 @@ vector in rotating coordinates.  Everything observable is a derivative:
 The linear, reluctance, saturated and harmonic magnet machines are one
 model, :class:`PolynomialEnergy`: a polynomial in the flux deviation from
 the magnet working point times cos/sin of multiples of the rotor angle.
-They differ only in the coefficient table their constructors compile.
+They differ only in the coefficient table their constructors build.
+Each set of tables a method needs is compiled once, on first use, into one
+straight-line Python function (:func:`_compile`).
 
 All shipped models broadcast: ``phi`` may carry leading batch dimensions
 (shape ``(..., flux_dim)``) with ``theta`` and ``rho`` broadcastable
 against them.  One state (a one-dimensional ``phi``) is evaluated in
-Python floats by the same code.
+Python floats by the same code.  The simulator reaches a model only
+through ``EnergyModel._step_gradient``, which takes and returns Python
+floats; the shipped models override it to skip numpy altogether.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ import abc
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -74,7 +79,7 @@ class EnergyModel(abc.ABC):
         """Partial derivative with respect to rho: the electrical speed."""
 
     def gradient(self, theta, rho, phi):
-        """``(d_flux, d_rho, d_theta)`` in one call; the simulator uses only this.
+        """``(d_flux, d_rho, d_theta)`` in one call.
 
         Models override it to share the work of the three derivatives.
         """
@@ -83,6 +88,15 @@ class EnergyModel(abc.ABC):
             self.d_rho(theta, rho, phi),
             self.d_theta(theta, rho, phi),
         )
+
+    def _step_gradient(self, theta: float, rho: float, phi: list):
+        """:meth:`gradient` at one state in Python floats: ``(list, float, float)``.
+
+        The simulator calls only this, once per stage.  Models override it
+        to skip the round trip through numpy; the values stay the same.
+        """
+        i, omega, h_theta = self.gradient(theta, rho, np.array(phi))
+        return np.asarray(i, dtype=float).tolist(), float(omega), float(h_theta)
 
 
 class SaturationRangeWarning(UserWarning):
@@ -165,39 +179,52 @@ def _cos_sin(w: float, theta):
     return np.cos(a), np.sin(a)
 
 
-def _poly(terms, xp, yp):
-    acc = 0.0
-    for (i, j), c in terms.items():
-        acc = acc + c * xp[i] * yp[j]
-    return acc
+def _compile(tables: Sequence[tuple]):
+    """Compile tables into one function ``(theta, x, y, zero) -> tuple`` of their values.
 
-
-def _kernel(tables: Sequence[tuple], degree: int, theta, x, y, zero):
-    """Evaluate each table at (theta, x, y); results start from ``zero``.
-
-    Powers of x and y are built once, up to ``degree`` (no exponent in the
-    tables may exceed it), and cos/sin once per angle order.  Only
-    arithmetic operators touch x, y and theta, so Python floats (one state)
-    and arrays (a batch) run the same code.
+    The generated code is straight-line.  Powers of x and y are built by
+    repeated multiplication, up to the highest exponent the tables use.
+    Each polynomial is summed left to right from 0.0 in table order as
+    c * x**i * y**j (a zeroth power is 1.0, and multiplying by it is exact,
+    so it is left out).  cos/sin are taken once per angle order, at its
+    first use, and each total starts from ``zero``.  Coefficients and angle
+    orders are names bound in the function's namespace; only exponents
+    appear in the source.  Only arithmetic operators touch x, y and theta,
+    so Python floats (one state) and arrays (a batch) run the same code.
     """
-    xp, yp = [1.0, x], [1.0, y]
-    for _ in range(degree - 1):
-        xp.append(xp[-1] * x)
-        yp.append(yp[-1] * y)
+    env = {"_cos_sin": _cos_sin}
+
+    def bind(prefix, value):
+        name = f"{prefix}{len(env)}"
+        env[name] = value
+        return name
+
+    def poly(terms):
+        out = "0.0"
+        for (i, j), c in terms.items():
+            out += " + " + " * ".join([bind("c", c)] + [f"X{i}"] * (i > 0) + [f"Y{j}"] * (j > 0))
+        return f"({out})"
+
+    exponents = [ij for t in tables for _, a, b in t for ij in (*a, *b)]
+    lines = ["X1 = x", "Y1 = y"]
+    for axis, v in enumerate("XY"):
+        for n in range(2, max((ij[axis] for ij in exponents), default=0) + 1):
+            lines.append(f"{v}{n} = {v}{n - 1} * {v.lower()}")
     trig = {}
-    out = []
-    for t in tables:
-        total = zero
-        for w, a, b in t:
-            value = _poly(a, xp, yp)
+    for k, table in enumerate(tables):
+        lines.append(f"t{k} = zero")
+        for w, a, b in table:
+            value = poly(a)
             if w:
                 if w not in trig:
-                    trig[w] = _cos_sin(w, theta)
-                cos_w, sin_w = trig[w]
-                value = value * cos_w + _poly(b, xp, yp) * sin_w
-            total = total + value
-        out.append(total)
-    return out
+                    trig[w] = n = len(trig)
+                    lines.append(f"C{n}, S{n} = _cos_sin({bind('w', w)}, theta)")
+                value = f"{value} * C{trig[w]} + {poly(b)} * S{trig[w]}"
+            lines.append(f"t{k} = t{k} + ({value})")
+    lines.append(f"return ({', '.join(f't{k}' for k in range(len(tables)))},)")
+    source = "def kernel(theta, x, y, zero):\n" + "".join(f"    {line}\n" for line in lines)
+    exec(compile(source, "<enermach kernel>", "exec"), env)
+    return env["kernel"]
 
 
 @dataclass(frozen=True)
@@ -247,9 +274,10 @@ class PolynomialEnergy(EnergyModel):
 
     with x = phi_d - phi_M, y = phi_q and angle orders w = 0 or 6k.
     ``orders`` lists ``(w, a, b)``: a and b map exponent pairs (i, j) to the
-    coefficients of x**i y**j in A_w and B_w.  The constructor compiles the
-    monomial tables of H, dH/dx, dH/dy and dH/dtheta once; every method is
-    one pass of the shared kernel over the tables it needs.
+    coefficients of x**i y**j in A_w and B_w.  The constructor builds the
+    monomial tables of H, dH/dx, dH/dy and dH/dtheta; each method runs one
+    function compiled from the tables it needs (:func:`_compile`), on first
+    use, so building a model to validate a config compiles nothing.
 
     ``box`` is the half-width of the flux box |x|, |y| <= box the
     coefficients are trusted in; outside it the model warns
@@ -268,48 +296,75 @@ class PolynomialEnergy(EnergyModel):
         self._h_x = _d_flux_table(self._h, 0)
         self._h_y = _d_flux_table(self._h, 1)
         self._h_theta = _d_theta_table(self._h)
-        self._degree = max((max(ij) for _, a, b in self._h for ij in (*a, *b)), default=0)
+
+    @cached_property
+    def _energy_kernel(self):
+        return _compile((self._h,))
+
+    @cached_property
+    def _current_kernel(self):
+        return _compile((self._h_x, self._h_y))
+
+    @cached_property
+    def _angle_kernel(self):
+        return _compile((self._h_theta,))
+
+    @cached_property
+    def _gradient_kernel(self):
+        return _compile((self._h_x, self._h_y, self._h_theta))
+
+    def __getstate__(self):
+        # compiled kernels do not pickle; they are compiled again on first use
+        return {k: v for k, v in self.__dict__.items() if not k.endswith("_kernel")}
+
+    def _check_box(self, x, y, stacklevel):
+        # stacklevel points the warning at the caller of the public method,
+        # or at the simulator line that evaluates the model; one state is
+        # checked in floats, and only a batch pays for reductions
+        if self._box is None:
+            return
+        if isinstance(x, float):
+            worst = max(abs(x), abs(y))
+        else:
+            worst = max(float(np.max(np.abs(x))), float(np.max(np.abs(y))))
+        if worst > self._box:
+            warnings.warn(
+                f"flux deviation {worst:.4g} Wb exceeds the saturation model's "
+                f"fitted range |x|,|y| <= {self._box:.4g} Wb",
+                SaturationRangeWarning,
+                stacklevel=stacklevel,
+            )
 
     def _deviation(self, theta, rho, phi):
         phi_d, y = _components(phi)
         x = phi_d - self._phi_M
-        if self._box is not None:
-            # one state is checked in floats; only a batch pays for reductions
-            if isinstance(x, float):
-                worst = max(abs(x), abs(y))
-            else:
-                worst = max(float(np.max(np.abs(x))), float(np.max(np.abs(y))))
-            if worst > self._box:
-                warnings.warn(
-                    f"flux deviation {worst:.4g} Wb exceeds the saturation model's "
-                    f"fitted range |x|,|y| <= {self._box:.4g} Wb",
-                    SaturationRangeWarning,
-                    stacklevel=3,
-                )
+        self._check_box(x, y, 4)
         return x, y, _zeros(theta, rho, x)
 
     def evaluate(self, theta, rho, phi):
-        x, y, zero = self._deviation(theta, rho, phi)
-        (h,) = _kernel((self._h,), self._degree, theta, x, y, zero)
+        (h,) = self._energy_kernel(theta, *self._deviation(theta, rho, phi))
         rho = _num(rho)
         return 0.5 * self._kappa * (rho * rho) + h
 
     def d_flux(self, theta, rho, phi):
-        x, y, zero = self._deviation(theta, rho, phi)
-        return _vector(_kernel((self._h_x, self._h_y), self._degree, theta, x, y, zero))
+        return _vector(self._current_kernel(theta, *self._deviation(theta, rho, phi)))
 
     def d_theta(self, theta, rho, phi):
-        x, y, zero = self._deviation(theta, rho, phi)
-        return _kernel((self._h_theta,), self._degree, theta, x, y, zero)[0]
+        return self._angle_kernel(theta, *self._deviation(theta, rho, phi))[0]
 
     def d_rho(self, theta, rho, phi):
         return self._kappa * _num(rho)
 
     def gradient(self, theta, rho, phi):
-        x, y, zero = self._deviation(theta, rho, phi)
-        tables = (self._h_x, self._h_y, self._h_theta)
-        i_d, i_q, h_theta = _kernel(tables, self._degree, theta, x, y, zero)
+        i_d, i_q, h_theta = self._gradient_kernel(theta, *self._deviation(theta, rho, phi))
         return _vector((i_d, i_q)), self._kappa * _num(rho), h_theta
+
+    def _step_gradient(self, theta, rho, phi):
+        x = phi[0] - self._phi_M
+        y = phi[1]
+        self._check_box(x, y, 3)
+        i_d, i_q, h_theta = self._gradient_kernel(theta, x, y, 0.0)
+        return [i_d, i_q], self._kappa * rho, h_theta
 
 
 class LinearPmsmEnergy(PolynomialEnergy):

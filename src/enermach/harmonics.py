@@ -24,7 +24,7 @@ from typing import Mapping, Optional, Tuple
 
 import numpy as np
 
-from .energy import EnergyModel, PolynomialEnergy, _d_flux_table, _kernel, _table, _zeros, torque
+from .energy import EnergyModel, PolynomialEnergy, _compile, _d_flux_table, _table, _zeros, torque
 from .saturation import SaturationCoefficients, _quartic_terms
 
 __all__ = [
@@ -69,15 +69,14 @@ class FluxPolynomial:
     def value(self, x, y):
         x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
         table = _table([(0, self.coeffs, {})])
-        return _kernel((table,), _MAX_DEGREE, 0.0, x, y, _zeros(x, y))[0]
+        return _compile((table,))(0.0, x, y, _zeros(x, y))[0]
 
     def grad(self, x, y):
         """(d/dx, d/dy), each broadcast like the inputs."""
         x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
         table = _table([(0, self.coeffs, {})])
-        gx, gy = _kernel(
-            (_d_flux_table(table, 0), _d_flux_table(table, 1)), _MAX_DEGREE, 0.0, x, y, _zeros(x, y)
-        )
+        kernel = _compile((_d_flux_table(table, 0), _d_flux_table(table, 1)))
+        gx, gy = kernel(0.0, x, y, _zeros(x, y))
         return gx, gy
 
     def even_in_y(self) -> bool:

@@ -150,7 +150,7 @@ class ImEnergy(EnergyModel):
         )
 
     def d_flux(self, theta, rho, phi):
-        return _vector(self._currents(phi))
+        return _vector(self._currents(*_components(phi)))
 
     def d_theta(self, theta, rho, phi):
         return self.gradient(theta, rho, phi)[2]
@@ -159,20 +159,22 @@ class ImEnergy(EnergyModel):
         return self.params.kinetic_coeff * _num(rho)
 
     def gradient(self, theta, rho, phi):
-        i = self._currents(phi)
+        i = self._currents(*_components(phi))
         return _vector(i), self.params.kinetic_coeff * _num(rho), _zeros(theta, rho, i[0])
 
-    def _currents(self, phi):
-        # D*i_s = L_r*phi_s - L_m*phi_r, D*i_r = L_s*phi_r - L_m*phi_s; one
-        # state stays in Python floats, which keeps the simulator step cheap
+    def _step_gradient(self, theta, rho, phi):
+        return self._currents(*phi), self.params.kinetic_coeff * rho, 0.0
+
+    def _currents(self, s_d, s_q, r_d, r_q):
+        # D*i_s = L_r*phi_s - L_m*phi_r, D*i_r = L_s*phi_r - L_m*phi_s, on
+        # floats (one state) or arrays (a batch) alike
         p = self.params
-        s_d, s_q, r_d, r_q = _components(phi)
-        return (
+        return [
             (p.L_r * s_d - p.L_m * r_d) / self._det,
             (p.L_r * s_q - p.L_m * r_q) / self._det,
             (p.L_s * r_d - p.L_m * s_d) / self._det,
             (p.L_s * r_q - p.L_m * s_q) / self._det,
-        )
+        ]
 
 
 def im_energy(p: ImParams) -> ImEnergy:

@@ -22,9 +22,9 @@ import numpy as np
 from .energy import (
     PolynomialEnergy,
     SaturationRangeWarning,
+    _compile,
     _components,
     _d_flux_table,
-    _kernel,
     _table,
     _vector,
     _zeros,
@@ -159,7 +159,7 @@ def incremental_inductance(c: SaturationCoefficients, phi):
     h = _table([(0, _quartic_terms(c), {})])
     h_x, h_y = _d_flux_table(h, 0), _d_flux_table(h, 1)
     hessian = (_d_flux_table(h_x, 0), _d_flux_table(h_x, 1), _d_flux_table(h_y, 1))
-    dd, dq, qq = _kernel(hessian, 2, 0.0, x, y, _zeros(x))
+    dd, dq, qq = _compile(hessian)(0.0, x, y, _zeros(x))
     return np.stack([_vector((dd, dq)), _vector((dq, qq))], axis=-2)
 
 

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 
-from enermach.energy import EnergyModel, LinearPmsmParams, kinetic_coefficient
+from enermach.energy import EnergyModel, LinearPmsmParams, _cos_sin, kinetic_coefficient
 from enermach.harmonics import (
     FluxPolynomial,
     HarmonicModel,
@@ -116,6 +116,39 @@ def im_params():
         kinetic_coeff=kinetic_coefficient(5.0e-3, 2),
         n_p=2,
     )
+
+
+def _reference_poly(terms, xp, yp):
+    acc = 0.0
+    for (i, j), c in terms.items():
+        acc = acc + c * xp[i] * yp[j]
+    return acc
+
+
+def reference_kernel(tables, degree, theta, x, y, zero):
+    """The table interpreter the compiled kernels replaced, kept as their reference.
+
+    Evaluates each table at (theta, x, y), totals starting from ``zero``;
+    ``degree`` must be at least the highest exponent in the tables.
+    """
+    xp, yp = [1.0, x], [1.0, y]
+    for _ in range(degree - 1):
+        xp.append(xp[-1] * x)
+        yp.append(yp[-1] * y)
+    trig = {}
+    out = []
+    for t in tables:
+        total = zero
+        for w, a, b in t:
+            value = _reference_poly(a, xp, yp)
+            if w:
+                if w not in trig:
+                    trig[w] = _cos_sin(w, theta)
+                cos_w, sin_w = trig[w]
+                value = value * cos_w + _reference_poly(b, xp, yp) * sin_w
+            total = total + value
+        out.append(total)
+    return out
 
 
 class _Delegate(EnergyModel):

@@ -1,6 +1,9 @@
 """Command-line front end: verbs, exit codes, output files."""
 
 import csv
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -11,6 +14,8 @@ from enermach.identify import generate_synthetic, write_samples_csv
 from enermach.saturation import SCALED_KEYS, SaturationCoefficients
 
 from helpers import CONFIG_DIR, IPM_SCALED
+
+SRC_DIR = CONFIG_DIR.parent / "src"
 
 PMSM_CONFIGS = ["linear_ipm", "synrm", "saturated_ipm", "saturated_spm", "harmonic_ipm"]
 
@@ -170,6 +175,23 @@ def test_unknown_key_exits_1_with_dotted_path(tmp_path, capsys):
     assert code == EXIT_CONFIG
     err = capsys.readouterr().err
     assert "model" in err and "L_x" in err
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("t_end", float("inf")), ("dt", float("nan")), ("t_end", 10**400)],
+    ids=["t_end-inf", "dt-nan", "t_end-huge-int"],
+)
+def test_non_finite_number_exits_1_naming_the_key(key, value, tmp_path):
+    path = rewrite("saturated_ipm", tmp_path, lambda d: d["sim"].__setitem__(key, value))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC_DIR), os.environ.get("PYTHONPATH", "")]))
+    argv = ["simulate", "--config", path, "--out", str(tmp_path / "o.csv")]
+    run = subprocess.run(
+        [sys.executable, "-m", "enermach.cli", *argv], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert run.returncode == EXIT_CONFIG
+    assert f"sim.{key}" in run.stderr
+    assert "Traceback" not in run.stderr
 
 
 def test_missing_config_exits_3(tmp_path, capsys):

@@ -343,6 +343,25 @@ def test_config_and_argument_guards():
         simulate_im(im_params(), s, Drive(), SimConfig())
 
 
+def test_write_csv_bytes_match_the_per_value_format(tmp_path):
+    rng = np.random.default_rng(29)
+    data = rng.standard_normal((40, 17)) * 10.0 ** rng.integers(-300, 301, (40, 17))
+    data[0, :8] = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e-320, 1e300, -1e-300]
+    columns = [f"c{k}" for k in range(17)]
+    path = tmp_path / "t.csv"
+    Trajectory(columns, data).write_csv(path)
+    expected = ",".join(columns) + "\n"
+    expected += "".join(",".join(f"{v:.17g}" for v in row) + "\n" for row in data)
+    assert path.read_bytes() == expected.encode()
+
+
+@pytest.mark.parametrize("key", ["dt", "t_end", "omega_s"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_sim_config_rejects_non_finite_numbers(key, value):
+    with pytest.raises(ValueError, match=f"{key} must be finite"):
+        SimConfig(**{key: value})
+
+
 def test_trajectory_access_guards():
     traj = Trajectory(("t", "x"), np.zeros((3, 2)))
     with pytest.raises(KeyError, match="no column"):
