@@ -12,7 +12,12 @@ slip speed omega_s - omega.
 
 Integrators are fixed-step (classic fourth-order Runge-Kutta and explicit
 Euler), so a run is a pure function of its inputs; repeating one bit for
-bit is the baseline determinism guarantee.
+bit is the baseline determinism guarantee.  Each model and integrator gets
+one generated, straight-line Python function for a whole step and one for
+a record row (:func:`_program`): the model's evaluation, the torque, the
+state equations and the stage updates are written out, and only the
+drive's voltage and load are called.  Its code depends on the model's
+structure, not its coefficients, and is compiled once per process.
 
 Energy bookkeeping: along an exact trajectory
 
@@ -28,12 +33,22 @@ from __future__ import annotations
 
 import bisect
 import math
+import types
+import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
-from .energy import EnergyModel, MachineState, _torque
+from .energy import (
+    _FLUX_NAMES,
+    _TORQUE,
+    EnergyModel,
+    MachineState,
+    SaturationRangeWarning,
+    _Excursions,
+    _generated,
+)
 from .induction import ImParams, im_energy
 
 __all__ = [
@@ -208,16 +223,26 @@ class Drive:
     load: Callable[[float, float], float] = ConstantLoad()
 
 
+def _callee(fn):
+    """``fn``, or its bound ``__call__`` when that is a Python method.
+
+    Calling the bound method skips the call slot of ``fn``'s type, a detour
+    through C that costs about as much as a drive's own arithmetic.
+    """
+    call = getattr(fn, "__call__", None)
+    return call if isinstance(call, types.MethodType) else fn
+
+
 def _as_voltage_fn(u) -> Callable[[float], Tuple[float, float]]:
     if callable(u):
-        return u
+        return _callee(u)
     u_d, u_q = (float(v) for v in u)
     return lambda t: (u_d, u_q)
 
 
 def _as_load_fn(load) -> Callable[[float, float], float]:
     if callable(load):
-        return load
+        return _callee(load)
     value = float(load)
     return lambda t, omega: value
 
@@ -280,7 +305,7 @@ class Trajectory:
 
 
 # ---------------------------------------------------------------------------
-# the simulator: one right-hand side, one record function
+# the simulator: one generated step, one generated record function
 
 
 def _resistances(model: EnergyModel) -> Tuple[float, float]:
@@ -293,67 +318,68 @@ def _resistances(model: EnergyModel) -> Tuple[float, float]:
     return R_s, R_r
 
 
-def _machine(model: EnergyModel, voltage_fn, load_fn, omega_s: float):
-    """The right-hand side and the record row of the state equations.
+def _program(model: EnergyModel, voltage_fn, load_fn, omega_s, dt, method: str, outside):
+    """The generated ``step(t, state) -> state`` and ``record(t, state) -> row``.
 
-    The state is y = (theta, rho, phi).  The stator pair's frame turns at
-    omega for single-winding machines and at omega_s for the induction
+    The state is a list of Python floats (theta, rho, phi).  ``step``
+    advances it by one rk4 or Euler step of ``dt``; ``record`` builds the
+    record row at a state.  Both are straight-line code: every stage is the
+    model's ``_stage_source``, the torque, the drive calls and the state
+    equations, and the stage updates are written out, with the operations
+    and their order of a loop over stages.  The stator pair's frame turns
+    at omega for single-winding machines and at omega_s for the induction
     machine; the rotor pair's frame turns at the slip speed omega_s - omega.
-    Both functions evaluate the model once, through
-    ``model._step_gradient``, in Python floats.
+    Parameters are names bound in the functions' namespace, so the source
+    depends only on the model's structure and the integrator, and it is
+    compiled once per process (:func:`enermach.energy._generated`).
     """
-    n_p = model.pole_pairs
     R_s, R_r = _resistances(model)
-    rotor = model.flux_dim == 4
-    step_gradient = model._step_gradient
-
-    def observe(t: float, y: list):
-        theta, rho, *phi = y
-        i, omega, h_theta = step_gradient(theta, rho, phi)
-        te = _torque(n_p, h_theta, i[0], i[1], phi[0], phi[1])
-        u_d, u_q = voltage_fn(t)
-        return theta, rho, phi, i, omega, te, u_d, u_q, load_fn(t, omega)
-
-    def rhs(t: float, y: list) -> list:
-        _, _, phi, i, omega, te, u_d, u_q, t_load = observe(t, y)
-        w_s = omega_s if rotor else omega
-        dy = [
-            omega,
-            (te - t_load) / n_p,
-            u_d - R_s * i[0] + w_s * phi[1],
-            u_q - R_s * i[1] - w_s * phi[0],
-        ]
-        if rotor:
-            slip = omega_s - omega
-            dy += [-R_r * i[2] + slip * phi[3], -R_r * i[3] - slip * phi[2]]
-        return dy
-
-    def record(t: float, y: list) -> list:
-        theta, rho, phi, i, omega, te, u_d, u_q, t_load = observe(t, y)
-        row = [t, theta, rho, omega, phi[0], phi[1], i[0], i[1], u_d, u_q, te, t_load]
-        if rotor:
-            row += [phi[2], phi[3], i[2], i[3], omega_s * t]
-        return row
-
-    return rhs, record
-
-
-def _advance(rhs, t: float, y: list, dt: float, method: str) -> list:
-    # the state is a list of Python floats: for 4 to 6 components this is
-    # cheaper than numpy, and the operations and their order are the same;
-    # each rhs call evaluates the model once, through its float-in/float-out
-    # _step_gradient, so no stage converts to numpy and back
+    env = {
+        "n_p": model.pole_pairs,
+        "R_s": R_s,
+        "R_r": R_r,
+        "omega_s": omega_s,
+        "dt": dt,
+        "h": 0.5 * dt,
+        "h6": dt / 6.0,
+        "voltage": voltage_fn,
+        "load": load_fn,
+        "outside": outside,
+    }
+    state = ("theta", "rho", *_FLUX_NAMES[: model.flux_dim])
+    stage = [*model._stage_source(env), f"te = {_TORQUE}", "u_d, u_q = voltage(ts)", "t_load = load(ts, omega)"]
+    w_s = "omega_s" if model.flux_dim == 4 else "omega"
+    slopes = [
+        "omega",
+        "(te - t_load) / n_p",
+        f"u_d - R_s * i_d + {w_s} * phi_q",
+        f"u_q - R_s * i_q - {w_s} * phi_d",
+        "-R_r * i_rd + (omega_s - omega) * phi_rq",
+        "-R_r * i_rq - (omega_s - omega) * phi_rd",
+    ][: len(state)]
+    # (stage time, step from the start of the step to the stage state)
+    stages = [("t", None), ("t + h", "h"), ("t + h", "h"), ("t + dt", "dt")]
     if method == "euler":
-        return [a + dt * b for a, b in zip(y, rhs(t, y))]
-    h = 0.5 * dt
-    k1 = rhs(t, y)
-    k2 = rhs(t + h, [a + h * b for a, b in zip(y, k1)])
-    k3 = rhs(t + h, [a + h * b for a, b in zip(y, k2)])
-    k4 = rhs(t + dt, [a + dt * b for a, b in zip(y, k3)])
-    h6 = dt / 6.0
-    return [
-        a + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4) for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)
-    ]
+        stages = stages[:1]
+        new_state = [f"{v}0 + dt * k0_{j}" for j, v in enumerate(state)]
+    else:
+        new_state = [f"{v}0 + h6 * (k0_{j} + 2.0 * k1_{j} + 2.0 * k2_{j} + k3_{j})" for j, v in enumerate(state)]
+    body = [f"{', '.join(state)} = state", f"{', '.join(v + '0' for v in state)} = state"]
+    for k, (ts, scale) in enumerate(stages):
+        if scale:
+            body += [f"{v} = {v}0 + {scale} * k{k - 1}_{j}" for j, v in enumerate(state)]
+        body += [f"ts = {ts}", *stage, *(f"k{k}_{j} = {e}" for j, e in enumerate(slopes))]
+    body.append(f"return [{', '.join(new_state)}]")
+    row = ["t", "theta", "rho", "omega", "phi_d", "phi_q", "i_d", "i_q", "u_d", "u_q", "te", "t_load"]
+    if model.flux_dim == 4:
+        row += ["phi_rd", "phi_rq", "i_rd", "i_rq", "omega_s * t"]
+    record = [f"{', '.join(state)} = state", "ts = t", *stage, f"return [{', '.join(row)}]"]
+    source = "".join(
+        f"def {name}(t, state):\n" + "".join(f"    {line}\n" for line in lines)
+        for name, lines in (("step", body), ("record", record))
+    )
+    functions = _generated(source, env)
+    return functions["step"], functions["record"]
 
 
 def _state_vector(s: MachineState) -> list:
@@ -379,8 +405,10 @@ def step_pmsm(
         raise ValueError(f"unknown integrator {method!r}")
     if m.flux_dim != 2:
         raise ValueError("step_pmsm handles two-component flux models")
-    rhs, _ = _machine(m, _as_voltage_fn(u_dq), _as_load_fn(T_l), 0.0)
-    y1 = _advance(rhs, t, _state_vector(s), dt, method)
+    outside = _Excursions()
+    step, _ = _program(m, _as_voltage_fn(u_dq), _as_load_fn(T_l), 0.0, dt, method, outside)
+    y1 = step(t, _state_vector(s))
+    outside.warn(stacklevel=2)
     if not all(map(math.isfinite, y1)):
         raise SimulationError("non-finite state", t + dt)
     return MachineState(y1[0], y1[1], y1[2:4])
@@ -397,20 +425,27 @@ def simulate(m: EnergyModel, state0: MachineState, drive: Drive, cfg: SimConfig)
     are PMSM_COLUMNS, or IM_COLUMNS for models with a rotor winding, where
     the frame angle theta_s = omega_s * t is recorded alongside the state.
     Currents and torque in the record are evaluated from the model at the
-    recorded states, so the file is self-consistent.  The initial flux must
-    have ``m.flux_dim`` components; the public wrappers and the config
-    loader check that.
+    recorded states, so the file is self-consistent.  Evaluations outside a
+    fitted model's flux box are counted over the run and reported in one
+    :class:`SaturationRangeWarning`.  The initial flux must have
+    ``m.flux_dim`` components; the public wrappers and the config loader
+    check that.
     """
-    rhs, record = _machine(m, _as_voltage_fn(drive.voltage), _as_load_fn(drive.load), cfg.omega_s)
-    n = _n_steps(cfg)
+    outside = _Excursions()
+    voltage_fn, load_fn = _as_voltage_fn(drive.voltage), _as_load_fn(drive.load)
+    step, record = _program(m, voltage_fn, load_fn, cfg.omega_s, cfg.dt, cfg.integrator, outside)
+    n, dt, stride = _n_steps(cfg), cfg.dt, cfg.record_stride
     y = _state_vector(state0)
-    rows = [record(0.0, y)]
-    for k in range(n):
-        y = _advance(rhs, k * cfg.dt, y, cfg.dt, cfg.integrator)
-        if not all(map(math.isfinite, y)):
-            raise SimulationError("non-finite state", (k + 1) * cfg.dt)
-        if (k + 1) % cfg.record_stride == 0 or k + 1 == n:
-            rows.append(record((k + 1) * cfg.dt, y))
+    try:
+        rows = [record(0.0, y)]
+        for k in range(n):
+            y = step(k * dt, y)
+            if not all(map(math.isfinite, y)):
+                raise SimulationError("non-finite state", (k + 1) * dt)
+            if (k + 1) % stride == 0 or k + 1 == n:
+                rows.append(record((k + 1) * dt, y))
+    finally:
+        outside.warn(stacklevel=2)
     return Trajectory(IM_COLUMNS if m.flux_dim == 4 else PMSM_COLUMNS, np.array(rows))
 
 
@@ -504,7 +539,9 @@ def power_balance(m: EnergyModel, traj: Trajectory) -> float:
     unequal intervals, Cartwright 2017, eqn 8) and compares
     the running total against H(t) - H(0).  The mismatch is normalized by
     the total energy exchanged (falling back to |H(0)| for conservative
-    runs where nothing is exchanged).
+    runs where nothing is exchanged).  The identity holds for the model's
+    polynomial inside and outside its fitted flux box, so evaluating H here
+    does not warn; a run reports its own excursions.
     """
     if len(traj) < 3:
         raise ValueError("power balance needs at least 3 recorded samples")
@@ -514,7 +551,9 @@ def power_balance(m: EnergyModel, traj: Trajectory) -> float:
     phi = traj.flux()
     if phi.shape[1] != m.flux_dim:
         raise ValueError("trajectory flux layout does not match the model")
-    H = np.asarray(m.evaluate(theta, rho, phi), dtype=float)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SaturationRangeWarning)
+        H = np.asarray(m.evaluate(theta, rho, phi), dtype=float)
 
     i_s = np.stack([traj.column("i_d"), traj.column("i_q")], axis=-1)
     u = np.stack([traj.column("u_d"), traj.column("u_q")], axis=-1)

@@ -19,14 +19,17 @@ All shipped models broadcast: ``phi`` may carry leading batch dimensions
 (shape ``(..., flux_dim)``) with ``theta`` and ``rho`` broadcastable
 against them.  One state (a one-dimensional ``phi``) is evaluated in
 Python floats by the same code.  The simulator reaches a model only
-through ``EnergyModel._step_gradient``, which takes and returns Python
-floats; the shipped models override it to skip numpy altogether.
+through ``EnergyModel._stage_source``: the source lines of one evaluation
+in Python floats, which it writes into the generated code of a whole
+integrator step.  The shipped models emit their kernel inline; any other
+model emits a call to ``EnergyModel._step_gradient``.
 """
 
 from __future__ import annotations
 
 import abc
 import math
+import types
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -90,17 +93,66 @@ class EnergyModel(abc.ABC):
         )
 
     def _step_gradient(self, theta: float, rho: float, phi: list):
-        """:meth:`gradient` at one state in Python floats: ``(list, float, float)``.
-
-        The simulator calls only this, once per stage.  Models override it
-        to skip the round trip through numpy; the values stay the same.
-        """
+        """:meth:`gradient` at one state in Python floats: ``(list, float, float)``."""
         i, omega, h_theta = self.gradient(theta, rho, np.array(phi))
         return np.asarray(i, dtype=float).tolist(), float(omega), float(h_theta)
+
+    def _stage_source(self, env: dict) -> list:
+        """Source lines of one evaluation inside the simulator's generated step.
+
+        The lines read the Python floats ``theta``, ``rho``, ``phi_d``,
+        ``phi_q`` (and ``phi_rd``, ``phi_rq`` for ``flux_dim == 4``) and the
+        stage time ``ts``.  They set ``i_d``, ``i_q`` (``i_rd``, ``i_rq``),
+        ``omega`` and ``h_theta`` to the values of :meth:`_step_gradient`,
+        bit for bit.  A fitted model reports each evaluation outside its
+        box by calling ``outside(ts, x, y, box)`` (see :class:`_Excursions`).
+        Values the lines use are bound in ``env`` (:func:`_bind`), never
+        printed, so models of one structure share the source.  This default
+        calls :meth:`_step_gradient`.
+        """
+        currents = ", ".join(_CURRENT_NAMES[: self.flux_dim])
+        phi = ", ".join(_FLUX_NAMES[: self.flux_dim])
+        return [f"({currents},), omega, h_theta = {_bind(env, 'g', self._step_gradient)}(theta, rho, [{phi}])"]
+
+
+# names of the flux and current components in generated simulator code
+_FLUX_NAMES = ("phi_d", "phi_q", "phi_rd", "phi_rq")
+_CURRENT_NAMES = ("i_d", "i_q", "i_rd", "i_rq")
 
 
 class SaturationRangeWarning(UserWarning):
     """Polynomial evaluated outside the flux box it was fitted on."""
+
+
+class _Excursions:
+    """Evaluations outside a fitted flux box during one run, reported in one warning.
+
+    Generated simulator code calls the instance as ``outside(t, x, y, box)``
+    for every evaluation (each integrator stage and each recorded row) at
+    which |x| or |y| exceeds ``box``.
+    """
+
+    def __init__(self):
+        self.count = 0
+        self.first_t = self.box = None
+        self.worst_x = self.worst_y = 0.0
+
+    def __call__(self, t, x, y, box):
+        if not self.count:
+            self.first_t, self.box = t, box
+        self.count += 1
+        self.worst_x = max(self.worst_x, abs(x))
+        self.worst_y = max(self.worst_y, abs(y))
+
+    def warn(self, stacklevel: int) -> None:
+        if self.count:
+            warnings.warn(
+                f"{self.count} evaluations outside the saturation model's fitted range "
+                f"|x|,|y| <= {self.box:.4g} Wb, the first at t={self.first_t:.9g} s; "
+                f"worst |x| {self.worst_x:.4g} Wb, worst |y| {self.worst_y:.4g} Wb",
+                SaturationRangeWarning,
+                stacklevel=stacklevel + 1,
+            )
 
 
 def _num(v):
@@ -179,30 +231,61 @@ def _cos_sin(w: float, theta):
     return np.cos(a), np.sin(a)
 
 
-def _compile(tables: Sequence[tuple]):
-    """Compile tables into one function ``(theta, x, y, zero) -> tuple`` of their values.
+# code of generated functions by source text; coefficients are bound names,
+# never printed, so every model of one structure shares one entry
+_CODES: dict = {}
 
-    The generated code is straight-line.  Powers of x and y are built by
-    repeated multiplication, up to the highest exponent the tables use.
-    Each polynomial is summed left to right from 0.0 in table order as
+
+def _generated(source: str, env: dict) -> dict:
+    """The functions ``source`` defines, by name, with the names in ``env`` bound.
+
+    The source is wrapped in a factory whose parameters are the names in
+    ``env``, and compiled once per process for each distinct text.  The
+    functions read those names from closure cells, not from their globals:
+    code shared by functions with different globals would keep losing its
+    specialised global lookups.  ``env`` is kept as their ``__globals__``
+    for inspection.
+    """
+    factory = f"def factory({', '.join(env)}):\n" + "".join(
+        f"    {line}\n" for line in source.splitlines()
+    ) + "    return locals()\n"
+    code = _CODES.get(factory)
+    if code is None:
+        namespace: dict = {}
+        exec(compile(factory, "<enermach generated>", "exec"), namespace)
+        code = _CODES[factory] = namespace["factory"].__code__
+    made = types.FunctionType(code, env)(**env)
+    return {name: f for name, f in made.items() if name not in env}
+
+
+def _bind(env: dict, prefix: str, value) -> str:
+    """Bind ``value`` in ``env`` under a fresh name and return the name."""
+    name = f"{prefix}{len(env)}"
+    env[name] = value
+    return name
+
+
+def _kernel_lines(tables: Sequence[tuple], env: dict, outputs, zero: str, one_state: bool) -> list:
+    """Straight-line source that sets ``outputs[k]`` to the value of ``tables[k]``.
+
+    The lines read theta, x and y.  Powers of x and y are built by repeated
+    multiplication, up to the highest exponent the tables use.  Each
+    polynomial is summed left to right from 0.0 in table order as
     c * x**i * y**j (a zeroth power is 1.0, and multiplying by it is exact,
     so it is left out).  cos/sin are taken once per angle order, at its
     first use, and each total starts from ``zero``.  Coefficients and angle
-    orders are names bound in the function's namespace; only exponents
-    appear in the source.  Only arithmetic operators touch x, y and theta,
-    so Python floats (one state) and arrays (a batch) run the same code.
+    orders are names bound in ``env``; only exponents appear in the source.
+    Without ``one_state`` only arithmetic operators touch x, y and theta, so
+    Python floats and arrays run the same code; with it the lines take
+    Python floats only and call math.cos/sin themselves at a finite angle,
+    which is what :func:`_cos_sin` does for a float.
     """
-    env = {"_cos_sin": _cos_sin}
-
-    def bind(prefix, value):
-        name = f"{prefix}{len(env)}"
-        env[name] = value
-        return name
+    env.update(_cos_sin=_cos_sin, cos=math.cos, sin=math.sin)
 
     def poly(terms):
         out = "0.0"
         for (i, j), c in terms.items():
-            out += " + " + " * ".join([bind("c", c)] + [f"X{i}"] * (i > 0) + [f"Y{j}"] * (j > 0))
+            out += " + " + " * ".join([_bind(env, "c", c)] + [f"X{i}"] * (i > 0) + [f"Y{j}"] * (j > 0))
         return f"({out})"
 
     exponents = [ij for t in tables for _, a, b in t for ij in (*a, *b)]
@@ -211,20 +294,41 @@ def _compile(tables: Sequence[tuple]):
         for n in range(2, max((ij[axis] for ij in exponents), default=0) + 1):
             lines.append(f"{v}{n} = {v}{n - 1} * {v.lower()}")
     trig = {}
-    for k, table in enumerate(tables):
-        lines.append(f"t{k} = zero")
+    for out, table in zip(outputs, tables):
+        lines.append(f"{out} = {zero}")
         for w, a, b in table:
             value = poly(a)
             if w:
                 if w not in trig:
                     trig[w] = n = len(trig)
-                    lines.append(f"C{n}, S{n} = _cos_sin({bind('w', w)}, theta)")
+                    w_n = _bind(env, "w", w)
+                    if one_state:
+                        lines += [
+                            f"A{n} = {w_n} * theta",
+                            f"if A{n} - A{n} == 0.0:",
+                            f"    C{n} = cos(A{n})",
+                            f"    S{n} = sin(A{n})",
+                            "else:",
+                            f"    C{n}, S{n} = _cos_sin({w_n}, theta)",
+                        ]
+                    else:
+                        lines.append(f"C{n}, S{n} = _cos_sin({w_n}, theta)")
                 value = f"{value} * C{trig[w]} + {poly(b)} * S{trig[w]}"
-            lines.append(f"t{k} = t{k} + ({value})")
-    lines.append(f"return ({', '.join(f't{k}' for k in range(len(tables)))},)")
+            lines.append(f"{out} = {out} + ({value})")
+    return lines
+
+
+def _compile(tables: Sequence[tuple]):
+    """Compile tables into one function ``(theta, x, y, zero) -> tuple`` of their values.
+
+    The body is :func:`_kernel_lines` for floats and arrays alike.
+    """
+    env: dict = {}
+    outputs = [f"t{k}" for k in range(len(tables))]
+    lines = _kernel_lines(tables, env, outputs, "zero", one_state=False)
+    lines.append(f"return ({', '.join(outputs)},)")
     source = "def kernel(theta, x, y, zero):\n" + "".join(f"    {line}\n" for line in lines)
-    exec(compile(source, "<enermach kernel>", "exec"), env)
-    return env["kernel"]
+    return _generated(source, env)["kernel"]
 
 
 @dataclass(frozen=True)
@@ -277,12 +381,15 @@ class PolynomialEnergy(EnergyModel):
     coefficients of x**i y**j in A_w and B_w.  The constructor builds the
     monomial tables of H, dH/dx, dH/dy and dH/dtheta; each method runs one
     function compiled from the tables it needs (:func:`_compile`), on first
-    use, so building a model to validate a config compiles nothing.
+    use, so building a model to validate a config compiles nothing.  The
+    simulator inlines the gradient tables into its generated step
+    (:meth:`_stage_source`), from the same generator.
 
     ``box`` is the half-width of the flux box |x|, |y| <= box the
-    coefficients are trusted in; outside it the model warns
-    (:class:`SaturationRangeWarning`) and still evaluates.  ``None`` never
-    warns.
+    coefficients are trusted in; outside it the public methods warn
+    (:class:`SaturationRangeWarning`) at every call and still evaluate, and
+    a simulation counts its evaluations outside the box and warns once per
+    run.  ``None`` never warns.
     """
 
     flux_dim = 2
@@ -317,10 +424,9 @@ class PolynomialEnergy(EnergyModel):
         # compiled kernels do not pickle; they are compiled again on first use
         return {k: v for k, v in self.__dict__.items() if not k.endswith("_kernel")}
 
-    def _check_box(self, x, y, stacklevel):
-        # stacklevel points the warning at the caller of the public method,
-        # or at the simulator line that evaluates the model; one state is
-        # checked in floats, and only a batch pays for reductions
+    def _check_box(self, x, y):
+        # the warning points at the caller of the public method; one state
+        # is checked in floats, and only a batch pays for reductions
         if self._box is None:
             return
         if isinstance(x, float):
@@ -332,13 +438,13 @@ class PolynomialEnergy(EnergyModel):
                 f"flux deviation {worst:.4g} Wb exceeds the saturation model's "
                 f"fitted range |x|,|y| <= {self._box:.4g} Wb",
                 SaturationRangeWarning,
-                stacklevel=stacklevel,
+                stacklevel=4,
             )
 
     def _deviation(self, theta, rho, phi):
         phi_d, y = _components(phi)
         x = phi_d - self._phi_M
-        self._check_box(x, y, 4)
+        self._check_box(x, y)
         return x, y, _zeros(theta, rho, x)
 
     def evaluate(self, theta, rho, phi):
@@ -359,12 +465,18 @@ class PolynomialEnergy(EnergyModel):
         i_d, i_q, h_theta = self._gradient_kernel(theta, *self._deviation(theta, rho, phi))
         return _vector((i_d, i_q)), self._kappa * _num(rho), h_theta
 
-    def _step_gradient(self, theta, rho, phi):
-        x = phi[0] - self._phi_M
-        y = phi[1]
-        self._check_box(x, y, 3)
-        i_d, i_q, h_theta = self._gradient_kernel(theta, x, y, 0.0)
-        return [i_d, i_q], self._kappa * rho, h_theta
+    def _stage_source(self, env):
+        # the fused gradient kernel inline, with the box check counting
+        # excursions instead of warning at every stage
+        lines = [f"x = phi_d - {_bind(env, 'phi_M', self._phi_M)}", "y = phi_q"]
+        if self._box is not None:
+            box = _bind(env, "box", self._box)
+            lines.append(f"if x > {box} or -x > {box} or y > {box} or -y > {box}:")
+            lines.append(f"    outside(ts, x, y, {box})")
+        tables = (self._h_x, self._h_y, self._h_theta)
+        lines += _kernel_lines(tables, env, ("i_d", "i_q", "h_theta"), "0.0", one_state=True)
+        lines.append(f"omega = {_bind(env, 'kappa', self._kappa)} * rho")
+        return lines
 
 
 class LinearPmsmEnergy(PolynomialEnergy):
@@ -417,9 +529,10 @@ def torque(m: EnergyModel, theta, rho, phi):
     return _torque(m.pole_pairs, h_theta, i[..., 0], i[..., 1], phi[..., 0], phi[..., 1])
 
 
-def _torque(n_p, h_theta, i_d, i_q, phi_d, phi_q):
-    # the one torque expression: torque(), the simulator and its record use it
-    return -n_p * h_theta + n_p * (i_q * phi_d - i_d * phi_q)
+# the one torque expression, as source: torque() evaluates it through
+# _torque, and the simulator's generated step and record inline it
+_TORQUE = "-n_p * h_theta + n_p * (i_q * phi_d - i_d * phi_q)"
+_torque = eval(f"lambda n_p, h_theta, i_d, i_q, phi_d, phi_q: {_TORQUE}")
 
 
 def numeric_gradient(f, x, scale: float = 1.0e-6) -> np.ndarray:

@@ -25,7 +25,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .energy import EnergyModel, _components, _num, _vector, _zeros, torque
+from .energy import _CURRENT_NAMES, EnergyModel, _bind, _components, _num, _vector, _zeros, torque
 
 __all__ = [
     "ImParams",
@@ -150,7 +150,7 @@ class ImEnergy(EnergyModel):
         )
 
     def d_flux(self, theta, rho, phi):
-        return _vector(self._currents(*_components(phi)))
+        return _vector(self._currents(phi))
 
     def d_theta(self, theta, rho, phi):
         return self.gradient(theta, rho, phi)[2]
@@ -159,22 +159,30 @@ class ImEnergy(EnergyModel):
         return self.params.kinetic_coeff * _num(rho)
 
     def gradient(self, theta, rho, phi):
-        i = self._currents(*_components(phi))
+        i = self._currents(phi)
         return _vector(i), self.params.kinetic_coeff * _num(rho), _zeros(theta, rho, i[0])
 
-    def _step_gradient(self, theta, rho, phi):
-        return self._currents(*phi), self.params.kinetic_coeff * rho, 0.0
-
-    def _currents(self, s_d, s_q, r_d, r_q):
-        # D*i_s = L_r*phi_s - L_m*phi_r, D*i_r = L_s*phi_r - L_m*phi_s, on
-        # floats (one state) or arrays (a batch) alike
+    def _currents(self, phi):
         p = self.params
-        return [
-            (p.L_r * s_d - p.L_m * r_d) / self._det,
-            (p.L_r * s_q - p.L_m * r_q) / self._det,
-            (p.L_s * r_d - p.L_m * s_d) / self._det,
-            (p.L_s * r_q - p.L_m * s_q) / self._det,
-        ]
+        return _im_currents(p.L_s, p.L_r, p.L_m, self._det, *_components(phi))
+
+    def _stage_source(self, env):
+        p = self.params
+        env.update(L_s=p.L_s, L_r=p.L_r, L_m=p.L_m, det=self._det)
+        lines = [f"{i} = {expr}" for i, expr in zip(_CURRENT_NAMES, _CURRENTS)]
+        return lines + [f"omega = {_bind(env, 'kappa', p.kinetic_coeff)} * rho", "h_theta = 0.0"]
+
+
+# D*i_s = L_r*phi_s - L_m*phi_r, D*i_r = L_s*phi_r - L_m*phi_s, as source:
+# d_flux and gradient evaluate it through _im_currents (floats or arrays
+# alike), and the simulator's generated step inlines it
+_CURRENTS = (
+    "(L_r * phi_d - L_m * phi_rd) / det",
+    "(L_r * phi_q - L_m * phi_rq) / det",
+    "(L_s * phi_rd - L_m * phi_d) / det",
+    "(L_s * phi_rq - L_m * phi_q) / det",
+)
+_im_currents = eval(f"lambda L_s, L_r, L_m, det, phi_d, phi_q, phi_rd, phi_rq: [{', '.join(_CURRENTS)}]")
 
 
 def im_energy(p: ImParams) -> ImEnergy:

@@ -151,6 +151,70 @@ def reference_kernel(tables, degree, theta, x, y, zero):
     return out
 
 
+def reference_simulate(model, state0, drive, cfg):
+    """The stage-by-stage simulator loop the generated step replaced, kept as its reference.
+
+    Returns the record rows as a float array.  Every stage evaluates the
+    model through ``_step_gradient``; the state is a list of Python floats.
+    """
+    n_p = model.pole_pairs
+    R_s = float(model.params.R_s)
+    R_r = float(model.params.R_r) if model.flux_dim == 4 else 0.0
+    rotor = model.flux_dim == 4
+    omega_s = cfg.omega_s
+
+    def observe(t, y):
+        theta, rho, *phi = y
+        i, omega, h_theta = model._step_gradient(theta, rho, phi)
+        te = -n_p * h_theta + n_p * (i[1] * phi[0] - i[0] * phi[1])
+        u_d, u_q = drive.voltage(t)
+        return theta, rho, phi, i, omega, te, u_d, u_q, drive.load(t, omega)
+
+    def rhs(t, y):
+        _, _, phi, i, omega, te, u_d, u_q, t_load = observe(t, y)
+        w_s = omega_s if rotor else omega
+        dy = [
+            omega,
+            (te - t_load) / n_p,
+            u_d - R_s * i[0] + w_s * phi[1],
+            u_q - R_s * i[1] - w_s * phi[0],
+        ]
+        if rotor:
+            slip = omega_s - omega
+            dy += [-R_r * i[2] + slip * phi[3], -R_r * i[3] - slip * phi[2]]
+        return dy
+
+    def record(t, y):
+        theta, rho, phi, i, omega, te, u_d, u_q, t_load = observe(t, y)
+        row = [t, theta, rho, omega, phi[0], phi[1], i[0], i[1], u_d, u_q, te, t_load]
+        if rotor:
+            row += [phi[2], phi[3], i[2], i[3], omega_s * t]
+        return row
+
+    def advance(t, y, dt):
+        if cfg.integrator == "euler":
+            return [a + dt * b for a, b in zip(y, rhs(t, y))]
+        h = 0.5 * dt
+        k1 = rhs(t, y)
+        k2 = rhs(t + h, [a + h * b for a, b in zip(y, k1)])
+        k3 = rhs(t + h, [a + h * b for a, b in zip(y, k2)])
+        k4 = rhs(t + dt, [a + dt * b for a, b in zip(y, k3)])
+        h6 = dt / 6.0
+        return [
+            a + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+            for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)
+        ]
+
+    n = max(1, int(round(cfg.t_end / cfg.dt)))
+    y = [float(state0.theta), float(state0.rho), *state0.phi.tolist()]
+    rows = [record(0.0, y)]
+    for k in range(n):
+        y = advance(k * cfg.dt, y, cfg.dt)
+        if (k + 1) % cfg.record_stride == 0 or k + 1 == n:
+            rows.append(record((k + 1) * cfg.dt, y))
+    return np.array(rows)
+
+
 class _Delegate(EnergyModel):
     """Pass-through wrapper; subclasses override one derivative to break it."""
 
