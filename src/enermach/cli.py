@@ -72,6 +72,8 @@ def cmd_run(args) -> int:
     traj = simulate(cfg.model, cfg.initial, cfg.drive, cfg.sim)
     out = _default_out(args, "traj")
     traj.write_csv(out)
+    if args.quiet:
+        return EXIT_OK
     final = {name: traj.column(name)[-1] for name in ("t", "theta", "omega", "torque")}
     _say(args, f"wrote {out} ({len(traj)} samples)")
     _say(

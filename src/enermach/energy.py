@@ -71,7 +71,10 @@ class EnergyModel(abc.ABC):
 
     @abc.abstractmethod
     def d_flux(self, theta, rho, phi):
-        """Gradient with respect to phi: the current vector, shape (..., flux_dim)."""
+        """Gradient with respect to phi: the current vector, shape (..., flux_dim).
+
+        ``phi`` may carry leading batch axes; ``theta`` and ``rho`` broadcast against them.
+        """
 
     @abc.abstractmethod
     def d_theta(self, theta, rho, phi):
