@@ -158,14 +158,11 @@ def cmd_validate(args) -> int:
     n = cfg.validate["n_samples"]
     tol = cfg.validate["tol"]
     seed = args.seed if args.seed is not None else cfg.seed
+    reports = [check_reciprocity(cfg.model, n_samples=n, tol=tol, seed=seed)]
     if cfg.model.flux_dim == 4:
-        reports = [
-            check_reciprocity(cfg.model, n_samples=n, tol=tol, seed=seed),
-            check_im_rotation(cfg.model, n_samples=n, tol=tol, seed=seed),
-        ]
+        reports.append(check_im_rotation(cfg.model, n_samples=n, tol=tol, seed=seed))
     else:
-        reports = [
-            check_reciprocity(cfg.model, n_samples=n, tol=tol, seed=seed),
+        reports += [
             check_period(cfg.model, n_samples=n, tol=tol, seed=seed),
             check_parity(cfg.model, n_samples=n, tol=tol, seed=seed),
         ]

@@ -377,10 +377,9 @@ def _build_sim(block, path: str) -> SimConfig:
 
 
 def _default_flux(model: EnergyModel) -> np.ndarray:
-    if model.flux_dim == 4:
-        return np.zeros(4)
-    phi_M = float(getattr(model.params, "phi_M", 0.0))
-    return np.array([phi_M, 0.0])
+    phi = np.zeros(model.flux_dim)
+    phi[0] = float(getattr(model.params, "phi_M", 0.0))
+    return phi
 
 
 def _build_initial(block, path: str, model: EnergyModel) -> MachineState:

@@ -1,4 +1,4 @@
-"""Energy model contract and the polynomial magnet machine models.
+"""Energy model contract and the polynomial table model of every machine kind.
 
 A machine is described by one scalar function H(theta, rho, phi): rotor
 electrical angle, a momentum-like mechanical state, and the flux linkage
@@ -8,12 +8,12 @@ vector in rotating coordinates.  Everything observable is a derivative:
 * electrical speed   omega = dH/drho
 * torque             T = -n_p * dH/dtheta + n_p * i^T J phi
 
-The linear, reluctance, saturated and harmonic magnet machines are one
-model, :class:`PolynomialEnergy`: a polynomial in the flux deviation from
-the magnet working point times cos/sin of multiples of the rotor angle.
-They differ only in the coefficient table their constructors build.
-Each set of tables a method needs is compiled once, on first use, into one
-straight-line Python function (:func:`_compile`).
+The linear, reluctance, saturated and harmonic magnet machines and the
+induction machine are one model, :class:`PolynomialEnergy`: a polynomial
+in the flux_dim flux variables times cos/sin of multiples of the rotor
+angle.  The five kinds differ only in the coefficient table their
+constructors build.  Each set of tables a method needs is compiled once,
+on first use, into one straight-line Python function (:func:`_compile`).
 
 All shipped models broadcast: ``phi`` may carry leading batch dimensions
 (shape ``(..., flux_dim)``) with ``theta`` and ``rho`` broadcastable
@@ -21,8 +21,8 @@ against them.  One state (a one-dimensional ``phi``) is evaluated in
 Python floats by the same code.  The simulator reaches a model only
 through ``EnergyModel._stage_source``: the source lines of one evaluation
 in Python floats, which it writes into the generated code of a whole
-integrator step.  The shipped models emit their kernel inline; any other
-model emits a call to ``EnergyModel._step_gradient``.
+integrator step.  The five shipped kinds emit their table kernel inline;
+any other model emits a call to ``EnergyModel._step_gradient``.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import abc
 import math
 import types
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Sequence
 
@@ -103,15 +103,16 @@ class EnergyModel(abc.ABC):
     def _stage_source(self, env: dict) -> list:
         """Source lines of one evaluation inside the simulator's generated step.
 
-        The lines read the Python floats ``theta``, ``rho``, ``phi_d``,
-        ``phi_q`` (and ``phi_rd``, ``phi_rq`` for ``flux_dim == 4``) and the
+        The lines read the Python floats ``theta``, ``rho``, the flux_dim
+        components ``phi_d``, ``phi_q`` (``phi_rd``, ``phi_rq``) and the
         stage time ``ts``.  They set ``i_d``, ``i_q`` (``i_rd``, ``i_rq``),
         ``omega`` and ``h_theta`` to the values of :meth:`_step_gradient`,
         bit for bit.  A fitted model reports each evaluation outside its
         box by calling ``outside(ts, x, y, box)`` (see :class:`_Excursions`).
         Values the lines use are bound in ``env`` (:func:`_bind`), never
         printed, so models of one structure share the source.  This default
-        calls :meth:`_step_gradient`.
+        calls :meth:`_step_gradient`; the five shipped kinds, all
+        :class:`PolynomialEnergy`, inline their n-variable table kernel.
         """
         currents = ", ".join(_CURRENT_NAMES[: self.flux_dim])
         phi = ", ".join(_FLUX_NAMES[: self.flux_dim])
@@ -158,6 +159,14 @@ class _Excursions:
             )
 
 
+def _require_finite(record) -> None:
+    """Raise ValueError naming the first field of a dataclass that is not finite."""
+    for f in fields(record):
+        value = getattr(record, f.name)
+        if not math.isfinite(value):
+            raise ValueError(f"{f.name} must be finite, got {value}")
+
+
 def _num(v):
     """Python floats pass through; anything else becomes a float array."""
     return v if isinstance(v, float) else np.asarray(v, dtype=float)
@@ -190,8 +199,10 @@ def _zeros(*values):
 # monomial tables and the kernel that evaluates them
 #
 # A table is a tuple of rows (w, a, b), one per angle order w, standing for
-# sum_w [sum a_ij x**i y**j] cos(w theta) + [sum b_ij x**i y**j] sin(w theta);
-# a and b map exponent pairs (i, j) to nonzero coefficients.
+# sum_w [sum a_e v**e] cos(w theta) + [sum b_e v**e] sin(w theta) over the
+# variables v = (x, y, ...) of _VARIABLES; a and b map exponent tuples e,
+# one exponent per variable, to nonzero coefficients.
+_VARIABLES = ("x", "y", "z", "v")
 
 
 def _table(rows) -> tuple:
@@ -205,13 +216,13 @@ def _table(rows) -> tuple:
 
 
 def _d_flux_table(table: tuple, axis: int) -> tuple:
-    """Table of the derivative along x (axis 0) or y (axis 1)."""
+    """Table of the derivative along variable ``axis`` (0 for x, 1 for y, ...)."""
 
     def derive(terms):
         return {
-            (i - (axis == 0), j - (axis == 1)): (i, j)[axis] * c
-            for (i, j), c in terms.items()
-            if (i, j)[axis]
+            tuple(n - (k == axis) for k, n in enumerate(e)): e[axis] * c
+            for e, c in terms.items()
+            if e[axis]
         }
 
     return _table((w, derive(a), derive(b)) for w, a, b in table)
@@ -268,69 +279,78 @@ def _bind(env: dict, prefix: str, value) -> str:
     return name
 
 
-def _kernel_lines(tables: Sequence[tuple], env: dict, outputs, zero: str, one_state: bool) -> list:
+def _kernel_lines(tables: Sequence[tuple], env: dict, outputs, zero: str, one_state: bool, variables) -> list:
     """Straight-line source that sets ``outputs[k]`` to the value of ``tables[k]``.
 
-    The lines read theta, x and y.  Powers of x and y are built by repeated
-    multiplication, up to the highest exponent the tables use.  Each
-    polynomial is summed left to right from 0.0 in table order as
-    c * x**i * y**j (a zeroth power is 1.0, and multiplying by it is exact,
-    so it is left out).  cos/sin are taken once per angle order, at its
-    first use, and each total starts from ``zero``.  Coefficients and angle
+    The lines read theta and the table variables, named by ``variables``.
+    Powers are built by repeated multiplication (X2 = x * x, X3 = X2 * x),
+    up to the highest exponent the tables use.  Each output is one sum, left
+    to right from ``zero``, of its rows in table order; a row's polynomials
+    are summed from 0.0 as c * x**i * y**j ... (a zeroth power is 1.0, and
+    multiplying by it is exact, so it is left out).  cos/sin are taken once
+    per angle order, before its first output.  Coefficients and angle
     orders are names bound in ``env``; only exponents appear in the source.
-    Without ``one_state`` only arithmetic operators touch x, y and theta, so
-    Python floats and arrays run the same code; with it the lines take
-    Python floats only and call math.cos/sin themselves at a finite angle,
-    which is what :func:`_cos_sin` does for a float.
+    Without ``one_state`` only arithmetic operators touch the variables and
+    theta, so Python floats and arrays run the same code; with it the lines
+    take Python floats only and call math.cos/sin themselves at a finite
+    angle, which is what :func:`_cos_sin` does for a float.
     """
-    env.update(_cos_sin=_cos_sin, cos=math.cos, sin=math.sin)
 
-    def poly(terms):
-        out = "0.0"
-        for (i, j), c in terms.items():
-            out += " + " + " * ".join([_bind(env, "c", c)] + [f"X{i}"] * (i > 0) + [f"Y{j}"] * (j > 0))
-        return f"({out})"
+    def power(v, n):
+        return v if n == 1 else f"{v.upper()}{n}"
 
-    exponents = [ij for t in tables for _, a, b in t for ij in (*a, *b)]
-    lines = ["X1 = x", "Y1 = y"]
-    for axis, v in enumerate("XY"):
-        for n in range(2, max((ij[axis] for ij in exponents), default=0) + 1):
-            lines.append(f"{v}{n} = {v}{n - 1} * {v.lower()}")
+    def terms(coeffs):
+        out = ""
+        for e, c in coeffs.items():
+            powers = [power(v, n) for v, n in zip(variables, e) if n]
+            out += " + " + " * ".join([_bind(env, "c", c), *powers])
+        return out
+
+    exponents = [e for t in tables for _, a, b in t for e in (*a, *b)]
+    lines = []
+    for v, top in zip(variables, map(max, zip(*exponents))):
+        for n in range(2, top + 1):
+            lines.append(f"{power(v, n)} = {power(v, n - 1)} * {v}")
     trig = {}
     for out, table in zip(outputs, tables):
-        lines.append(f"{out} = {zero}")
+        total = zero
         for w, a, b in table:
-            value = poly(a)
-            if w:
-                if w not in trig:
-                    trig[w] = n = len(trig)
-                    w_n = _bind(env, "w", w)
-                    if one_state:
-                        lines += [
-                            f"A{n} = {w_n} * theta",
-                            f"if A{n} - A{n} == 0.0:",
-                            f"    C{n} = cos(A{n})",
-                            f"    S{n} = sin(A{n})",
-                            "else:",
-                            f"    C{n}, S{n} = _cos_sin({w_n}, theta)",
-                        ]
-                    else:
-                        lines.append(f"C{n}, S{n} = _cos_sin({w_n}, theta)")
-                value = f"{value} * C{trig[w]} + {poly(b)} * S{trig[w]}"
-            lines.append(f"{out} = {out} + ({value})")
+            if not w:
+                # a first angle-free row goes straight onto ``zero``: its own sum
+                # from 0.0 is never -0.0, so adding that to 0.0 changes no bit
+                total += terms(a) if total == zero else f" + (0.0{terms(a)})"
+                continue
+            if w not in trig:
+                trig[w] = n = len(trig)
+                env.update(_cos_sin=_cos_sin, cos=math.cos, sin=math.sin)
+                w_n = _bind(env, "w", w)
+                if one_state:
+                    lines += [
+                        f"A{n} = {w_n} * theta",
+                        f"if A{n} - A{n} == 0.0:",
+                        f"    C{n} = cos(A{n})",
+                        f"    S{n} = sin(A{n})",
+                        "else:",
+                        f"    C{n}, S{n} = _cos_sin({w_n}, theta)",
+                    ]
+                else:
+                    lines.append(f"C{n}, S{n} = _cos_sin({w_n}, theta)")
+            total += f" + ((0.0{terms(a)}) * C{trig[w]} + (0.0{terms(b)}) * S{trig[w]})"
+        lines.append(f"{out} = {total}")
     return lines
 
 
-def _compile(tables: Sequence[tuple]):
-    """Compile tables into one function ``(theta, x, y, zero) -> tuple`` of their values.
+def _compile(tables: Sequence[tuple], n_vars: int = 2):
+    """Compile tables over ``n_vars`` variables into ``(theta, x, y, ..., zero) -> tuple``.
 
     The body is :func:`_kernel_lines` for floats and arrays alike.
     """
     env: dict = {}
     outputs = [f"t{k}" for k in range(len(tables))]
-    lines = _kernel_lines(tables, env, outputs, "zero", one_state=False)
+    lines = _kernel_lines(tables, env, outputs, "zero", one_state=False, variables=_VARIABLES[:n_vars])
     lines.append(f"return ({', '.join(outputs)},)")
-    source = "def kernel(theta, x, y, zero):\n" + "".join(f"    {line}\n" for line in lines)
+    variables = ", ".join(_VARIABLES[:n_vars])
+    source = f"def kernel(theta, {variables}, zero):\n" + "".join(f"    {line}\n" for line in lines)
     return _generated(source, env)["kernel"]
 
 
@@ -362,6 +382,7 @@ class LinearPmsmParams:
     R_s: float = 0.0
 
     def __post_init__(self):
+        _require_finite(self)
         if self.L_d <= 0.0 or self.L_q <= 0.0:
             raise ValueError("inductances must be positive")
         if self.phi_M < 0.0:
@@ -375,18 +396,19 @@ class LinearPmsmParams:
 
 
 class PolynomialEnergy(EnergyModel):
-    """Magnet machine whose magnetic energy is a polynomial with angle harmonics.
+    """Machine whose magnetic energy is a polynomial in its flux with angle harmonics.
 
-        H = kappa*rho**2/2 + sum_w [A_w(x, y) cos(w theta) + B_w(x, y) sin(w theta)]
+        H = kappa*rho**2/2 + sum_w [A_w(v) cos(w theta) + B_w(v) sin(w theta)]
 
-    with x = phi_d - phi_M, y = phi_q and angle orders w = 0 or 6k.
-    ``orders`` lists ``(w, a, b)``: a and b map exponent pairs (i, j) to the
-    coefficients of x**i y**j in A_w and B_w.  The constructor builds the
-    monomial tables of H, dH/dx, dH/dy and dH/dtheta; each method runs one
-    function compiled from the tables it needs (:func:`_compile`), on first
-    use, so building a model to validate a config compiles nothing.  The
-    simulator inlines the gradient tables into its generated step
-    (:meth:`_stage_source`), from the same generator.
+    over ``flux_dim`` variables: x = phi_d - phi_M, then the other flux
+    components as they are.  Angle orders are w = 0 or 6k.  ``orders``
+    lists ``(w, a, b)``: a and b map exponent tuples (i, j, ...) to the
+    coefficients of x**i y**j ... in A_w and B_w.  The constructor builds
+    the monomial tables of H, of dH along each variable (the currents) and
+    of dH/dtheta; each method runs one function compiled from the tables it
+    needs (:func:`_compile`), on first use, so building a model to validate
+    a config compiles nothing.  The simulator inlines the gradient tables
+    into its generated step (:meth:`_stage_source`), from the same generator.
 
     ``box`` is the half-width of the flux box |x|, |y| <= box the
     coefficients are trusted in; outside it the public methods warn
@@ -403,25 +425,25 @@ class PolynomialEnergy(EnergyModel):
         self._kappa = float(kinetic_coeff)
         self._box = box
         self._h = _table(orders)
-        self._h_x = _d_flux_table(self._h, 0)
-        self._h_y = _d_flux_table(self._h, 1)
+        self._h_flux = tuple(_d_flux_table(self._h, k) for k in range(self.flux_dim))
+        self._h_x, self._h_y = self._h_flux[:2]
         self._h_theta = _d_theta_table(self._h)
 
     @cached_property
     def _energy_kernel(self):
-        return _compile((self._h,))
+        return _compile((self._h,), self.flux_dim)
 
     @cached_property
     def _current_kernel(self):
-        return _compile((self._h_x, self._h_y))
+        return _compile(self._h_flux, self.flux_dim)
 
     @cached_property
     def _angle_kernel(self):
-        return _compile((self._h_theta,))
+        return _compile((self._h_theta,), self.flux_dim)
 
     @cached_property
     def _gradient_kernel(self):
-        return _compile((self._h_x, self._h_y, self._h_theta))
+        return _compile((*self._h_flux, self._h_theta), self.flux_dim)
 
     def __getstate__(self):
         # compiled kernels do not pickle; they are compiled again on first use
@@ -444,40 +466,43 @@ class PolynomialEnergy(EnergyModel):
                 stacklevel=4,
             )
 
-    def _deviation(self, theta, rho, phi):
-        phi_d, y = _components(phi)
+    def _variables(self, theta, rho, phi):
+        # the kernel arguments: theta, x, y, ... and a zero of the result's shape
+        phi_d, *others = _components(phi)
         x = phi_d - self._phi_M
-        self._check_box(x, y)
-        return x, y, _zeros(theta, rho, x)
+        self._check_box(x, others[0])
+        return theta, x, *others, _zeros(theta, rho, x)
 
     def evaluate(self, theta, rho, phi):
-        (h,) = self._energy_kernel(theta, *self._deviation(theta, rho, phi))
+        (h,) = self._energy_kernel(*self._variables(theta, rho, phi))
         rho = _num(rho)
         return 0.5 * self._kappa * (rho * rho) + h
 
     def d_flux(self, theta, rho, phi):
-        return _vector(self._current_kernel(theta, *self._deviation(theta, rho, phi)))
+        return _vector(self._current_kernel(*self._variables(theta, rho, phi)))
 
     def d_theta(self, theta, rho, phi):
-        return self._angle_kernel(theta, *self._deviation(theta, rho, phi))[0]
+        return self._angle_kernel(*self._variables(theta, rho, phi))[0]
 
     def d_rho(self, theta, rho, phi):
         return self._kappa * _num(rho)
 
     def gradient(self, theta, rho, phi):
-        i_d, i_q, h_theta = self._gradient_kernel(theta, *self._deviation(theta, rho, phi))
-        return _vector((i_d, i_q)), self._kappa * _num(rho), h_theta
+        *i, h_theta = self._gradient_kernel(*self._variables(theta, rho, phi))
+        return _vector(i), self._kappa * _num(rho), h_theta
 
     def _stage_source(self, env):
         # the fused gradient kernel inline, with the box check counting
         # excursions instead of warning at every stage
-        lines = [f"x = phi_d - {_bind(env, 'phi_M', self._phi_M)}", "y = phi_q"]
+        dim = self.flux_dim
+        lines = [f"x = phi_d - {_bind(env, 'phi_M', self._phi_M)}"]
         if self._box is not None:
             box = _bind(env, "box", self._box)
-            lines.append(f"if x > {box} or -x > {box} or y > {box} or -y > {box}:")
-            lines.append(f"    outside(ts, x, y, {box})")
-        tables = (self._h_x, self._h_y, self._h_theta)
-        lines += _kernel_lines(tables, env, ("i_d", "i_q", "h_theta"), "0.0", one_state=True)
+            lines.append(f"if x > {box} or -x > {box} or phi_q > {box} or -phi_q > {box}:")
+            lines.append(f"    outside(ts, x, phi_q, {box})")
+        tables = (*self._h_flux, self._h_theta)
+        outputs = (*_CURRENT_NAMES[:dim], "h_theta")
+        lines += _kernel_lines(tables, env, outputs, "0.0", one_state=True, variables=("x", *_FLUX_NAMES[1:dim]))
         lines.append(f"omega = {_bind(env, 'kappa', self._kappa)} * rho")
         return lines
 

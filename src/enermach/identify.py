@@ -20,6 +20,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .energy import _require_finite
 from .saturation import SaturationCoefficients, saturated_currents
 
 __all__ = [
@@ -61,8 +62,9 @@ class FluxSample:
     weight: float = 1.0
 
     def __post_init__(self):
+        _require_finite(self)
         if self.weight <= 0.0:
-            raise ValueError("sample weight must be positive")
+            raise ValueError(f"sample weight must be positive, got {self.weight}")
 
 
 class RankDeficiencyError(ValueError):
@@ -291,7 +293,6 @@ def read_samples_csv(path) -> List[FluxSample]:
                 f"{path}: line 1: header must be {','.join(_CSV_BASE)}[,weight], "
                 f"got {','.join(header)}"
             )
-        has_weight = len(header) == 5
         for line_no, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -303,10 +304,10 @@ def read_samples_csv(path) -> List[FluxSample]:
                 values = [float(v) for v in row]
             except ValueError:
                 raise ValueError(f"{path}: line {line_no}: non-numeric field") from None
-            if has_weight:
+            try:
                 samples.append(FluxSample(*values))
-            else:
-                samples.append(FluxSample(*values, weight=1.0))
+            except ValueError as e:
+                raise ValueError(f"{path}: line {line_no}: {e}") from None
     return samples
 
 

@@ -2,12 +2,14 @@
 
 Stator and rotor flux linkages both live in the same dq frame, so the
 magnetic energy has no angle dependence at all; torque comes entirely from
-the cross coupling between the two windings.
+the cross coupling between the two windings.  The model is the quadratic
+table of :class:`~enermach.energy.PolynomialEnergy` over the four flux
+components, with phi_M = 0:
 
     H = kappa*rho**2/2
-      + L_m/(2 D) * ||phi_s - phi_r||**2
-      + (L_r - L_m)/(2 D) * ||phi_s||**2
-      + (L_s - L_m)/(2 D) * ||phi_r||**2
+      + L_r/(2 D) * (phi_sd**2 + phi_sq**2)
+      + L_s/(2 D) * (phi_rd**2 + phi_rq**2)
+      - L_m/D * (phi_sd*phi_rd + phi_sq*phi_rq)
 
 with D = L_s*L_r - L_m**2 (= L_s*L_r*sigma, sigma the leakage factor).
 The gradient reproduces the familiar current relations
@@ -16,6 +18,8 @@ The gradient reproduces the familiar current relations
     D * i_r = L_s*phi_r - L_m*phi_s
 
 whose inverse is phi_s = L_s*i_s + L_m*i_r, phi_r = L_m*i_s + L_r*i_r.
+Each current is the table's sum of two monomials, e.g. i_sd =
+(L_r/D)*phi_sd + (-L_m/D)*phi_rd, not one quotient by D.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .energy import _CURRENT_NAMES, EnergyModel, _bind, _components, _num, _vector, _zeros, torque
+from .energy import PolynomialEnergy, _require_finite, torque
 
 __all__ = [
     "ImParams",
@@ -57,6 +61,7 @@ class ImParams:
     n_p: int
 
     def __post_init__(self):
+        _require_finite(self)
         if self.L_s <= 0.0 or self.L_r <= 0.0 or self.L_m <= 0.0:
             raise ValueError("inductances must be positive")
         if self.L_s * self.L_r - self.L_m**2 <= 0.0:
@@ -122,67 +127,19 @@ def im_torque(p: ImParams, f: ImFlux) -> float:
     return torque(ImEnergy(p), 0.0, 0.0, f.as_vector())
 
 
-class ImEnergy(EnergyModel):
-    """Energy model over the stacked flux vector (phi_sd, phi_sq, phi_rd, phi_rq)."""
+class ImEnergy(PolynomialEnergy):
+    """Quadratic table over the stacked flux (phi_sd, phi_sq, phi_rd, phi_rq); no flux box."""
 
     flux_dim = 4
 
     def __init__(self, params: ImParams):
         self.params = params
-        self.pole_pairs = int(params.n_p)
-        self._det = params.det
-
-    def evaluate(self, theta, rho, phi):
-        p = self.params
-        phi = np.asarray(phi, dtype=float)
-        rho = np.asarray(rho, dtype=float)
-        phi_s = phi[..., 0:2]
-        phi_r = phi[..., 2:4]
-        d = p.det
-        diff2 = np.sum((phi_s - phi_r) ** 2, axis=-1)
-        s2 = np.sum(phi_s**2, axis=-1)
-        r2 = np.sum(phi_r**2, axis=-1)
-        return (
-            0.5 * p.kinetic_coeff * rho**2
-            + p.L_m / (2.0 * d) * diff2
-            + (p.L_r - p.L_m) / (2.0 * d) * s2
-            + (p.L_s - p.L_m) / (2.0 * d) * r2
-        )
-
-    def d_flux(self, theta, rho, phi):
-        return _vector(self._currents(phi))
-
-    def d_theta(self, theta, rho, phi):
-        return self.gradient(theta, rho, phi)[2]
-
-    def d_rho(self, theta, rho, phi):
-        return self.params.kinetic_coeff * _num(rho)
-
-    def gradient(self, theta, rho, phi):
-        i = self._currents(phi)
-        return _vector(i), self.params.kinetic_coeff * _num(rho), _zeros(theta, rho, i[0])
-
-    def _currents(self, phi):
-        p = self.params
-        return _im_currents(p.L_s, p.L_r, p.L_m, self._det, *_components(phi))
-
-    def _stage_source(self, env):
-        p = self.params
-        env.update(L_s=p.L_s, L_r=p.L_r, L_m=p.L_m, det=self._det)
-        lines = [f"{i} = {expr}" for i, expr in zip(_CURRENT_NAMES, _CURRENTS)]
-        return lines + [f"omega = {_bind(env, 'kappa', p.kinetic_coeff)} * rho", "h_theta = 0.0"]
-
-
-# D*i_s = L_r*phi_s - L_m*phi_r, D*i_r = L_s*phi_r - L_m*phi_s, as source:
-# d_flux and gradient evaluate it through _im_currents (floats or arrays
-# alike), and the simulator's generated step inlines it
-_CURRENTS = (
-    "(L_r * phi_d - L_m * phi_rd) / det",
-    "(L_r * phi_q - L_m * phi_rq) / det",
-    "(L_s * phi_rd - L_m * phi_d) / det",
-    "(L_s * phi_rq - L_m * phi_q) / det",
-)
-_im_currents = eval(f"lambda L_s, L_r, L_m, det, phi_d, phi_q, phi_rd, phi_rq: [{', '.join(_CURRENTS)}]")
+        d = params.det
+        s, r, m = params.L_r / (2.0 * d), params.L_s / (2.0 * d), -params.L_m / d
+        # squares before cross terms: dH/dphi_sd = (L_r/D) phi_sd + (-L_m/D) phi_rd
+        terms = {(2, 0, 0, 0): s, (0, 2, 0, 0): s, (0, 0, 2, 0): r, (0, 0, 0, 2): r}
+        terms.update({(1, 0, 1, 0): m, (0, 1, 0, 1): m})
+        super().__init__([(0, terms, {})], 0.0, params.kinetic_coeff, params.n_p)
 
 
 def im_energy(p: ImParams) -> ImEnergy:

@@ -23,6 +23,7 @@ from .energy import (
     PolynomialEnergy,
     SaturationRangeWarning,
     _compile,
+    _require_finite,
     _components,
     _d_flux_table,
     _table,
@@ -75,6 +76,7 @@ class SaturationCoefficients:
     R_s: float = 0.0
 
     def __post_init__(self):
+        _require_finite(self)
         if self.inv_L_d <= 0.0 or self.inv_L_q <= 0.0:
             raise ValueError("inverse inductances must be positive")
         if self.phi_M < 0.0:
