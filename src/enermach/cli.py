@@ -25,6 +25,7 @@ from .config import ConfigError, MotorConfig, load_config
 from .dynamics import SimulationError, Trajectory, power_balance, simulate
 from .harmonics import ripple_torque
 from .identify import (
+    PARAM_NAMES,
     RankDeficiencyError,
     fit_saturation,
     read_samples_csv,
@@ -90,8 +91,10 @@ def cmd_run(args) -> int:
 def cmd_identify(args) -> int:
     cfg = load_config(args.config)
     samples = read_samples_csv(args.samples)
-    if len(samples) < 7:
-        raise ConfigError(f"insufficient samples: need at least 7, got {len(samples)}")
+    if len(samples) < len(PARAM_NAMES):
+        raise ConfigError(
+            f"insufficient samples: need at least {len(PARAM_NAMES)}, got {len(samples)}"
+        )
     phi_M = cfg.identify["phi_M"]
     if phi_M is None:
         phi_M = float(getattr(cfg.model.params, "phi_M", 0.0))

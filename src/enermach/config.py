@@ -11,6 +11,7 @@ only behind an explicit ``scaled: true`` flag.
 from __future__ import annotations
 
 import math
+from dataclasses import MISSING, fields
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -42,24 +43,13 @@ from .harmonics import (
     harmonic_energy,
 )
 from .induction import ImParams, im_energy
-from .saturation import SCALED_KEYS, SaturationCoefficients, saturated_energy
+from .saturation import _QUARTIC, SaturationCoefficients, saturated_energy
 
 __all__ = ["ConfigError", "MotorConfig", "load_config"]
 
 SCHEMA_VERSION = 1
 
 MODEL_KINDS = ("linear_pmsm", "synrm", "saturated_pmsm", "harmonic_pmsm", "linear_im")
-
-_RAW_SATURATION_KEYS = (
-    "inv_L_d",
-    "inv_L_q",
-    "alpha_30",
-    "alpha_12",
-    "alpha_40",
-    "alpha_22",
-    "alpha_04",
-)
-
 
 class ConfigError(ValueError):
     """Config rejected; the message carries the dotted key path."""
@@ -163,29 +153,19 @@ def _saturation_block(d, path: str, phi_M: float, kinetic_coeff: float, n_p: int
     )
     _reject_unknown(block, spath)
     cpath = f"{spath}.coefficients"
-    try:
-        if scaled:
-            values = {}
-            for key in SCALED_KEYS:
-                values[key] = _number(
-                    _take(coeffs, key, cpath, required=True), f"{cpath}.{key}"
-                )
-            _reject_unknown(coeffs, cpath)
-            return SaturationCoefficients.from_scaled(
-                phi_M=phi_M, kinetic_coeff=kinetic_coeff, n_p=n_p, R_s=R_s, **values
-            )
-        values = {
-            "inv_L_d": _number(_take(coeffs, "inv_L_d", cpath, required=True), f"{cpath}.inv_L_d"),
-            "inv_L_q": _number(_take(coeffs, "inv_L_q", cpath, required=True), f"{cpath}.inv_L_q"),
-        }
-        for key in _RAW_SATURATION_KEYS[2:]:
+    # every scaled key is required; a raw key is required where its field has no default
+    no_default = {f.name for f in fields(SaturationCoefficients) if f.default is MISSING}
+    values = {}
+    for name, key, _, _, _ in _QUARTIC:
+        key = key if scaled else name
+        if scaled or name in no_default:
+            values[key] = _number(_take(coeffs, key, cpath, required=True), f"{cpath}.{key}")
+        else:
             values[key] = _take_number(coeffs, key, cpath, default=0.0)
-        _reject_unknown(coeffs, cpath)
-        return SaturationCoefficients(
-            phi_M=phi_M, kinetic_coeff=kinetic_coeff, n_p=n_p, R_s=R_s, **values
-        )
-    except ConfigError:
-        raise
+    _reject_unknown(coeffs, cpath)
+    build = SaturationCoefficients.from_scaled if scaled else SaturationCoefficients
+    try:
+        return build(phi_M=phi_M, kinetic_coeff=kinetic_coeff, n_p=n_p, R_s=R_s, **values)
     except ValueError as e:
         raise _fail(cpath, str(e)) from e
 

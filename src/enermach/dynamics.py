@@ -48,6 +48,7 @@ from .energy import (
     SaturationRangeWarning,
     _Excursions,
     _generated,
+    _require_finite,
 )
 from .induction import ImParams, im_energy
 
@@ -167,6 +168,7 @@ class TableVoltage:
     u_q: Tuple[float, ...]
 
     def __post_init__(self):
+        _require_finite(self)
         t = np.asarray(self.times, dtype=float)
         if t.size == 0 or np.any(np.diff(t) <= 0.0):
             raise ValueError("times must be non-empty and strictly increasing")
@@ -205,6 +207,7 @@ class TableLoad:
     torque: Tuple[float, ...]
 
     def __post_init__(self):
+        _require_finite(self)
         t = np.asarray(self.times, dtype=float)
         if t.size == 0 or np.any(np.diff(t) <= 0.0):
             raise ValueError("times must be non-empty and strictly increasing")

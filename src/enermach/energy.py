@@ -159,11 +159,21 @@ class _Excursions:
             )
 
 
+_SEQUENCES = (tuple, list, np.ndarray)
+
+
 def _require_finite(record) -> None:
-    """Raise ValueError naming the first field of a dataclass that is not finite."""
+    """Raise ValueError naming the first field of a dataclass that is not finite.
+
+    A field holding a sequence is checked entry by entry, and the entry is named.
+    """
     for f in fields(record):
         value = getattr(record, f.name)
-        if not math.isfinite(value):
+        if isinstance(value, _SEQUENCES):
+            for k, v in enumerate(value):
+                if not math.isfinite(v):
+                    raise ValueError(f"{f.name}[{k}] must be finite, got {v}")
+        elif not math.isfinite(value):
             raise ValueError(f"{f.name} must be finite, got {value}")
 
 
@@ -287,9 +297,10 @@ def _kernel_lines(tables: Sequence[tuple], env: dict, outputs, zero: str, one_st
     up to the highest exponent the tables use.  Each output is one sum, left
     to right from ``zero``, of its rows in table order; a row's polynomials
     are summed from 0.0 as c * x**i * y**j ... (a zeroth power is 1.0, and
-    multiplying by it is exact, so it is left out).  cos/sin are taken once
-    per angle order, before its first output.  Coefficients and angle
-    orders are names bound in ``env``; only exponents appear in the source.
+    multiplying by it is exact, so it is left out), and an empty one is
+    left out with its cos/sin factor.  cos/sin are taken once per angle
+    order, before its first output.  Coefficients and angle orders are
+    names bound in ``env``; only exponents appear in the source.
     Without ``one_state`` only arithmetic operators touch the variables and
     theta, so Python floats and arrays run the same code; with it the lines
     take Python floats only and call math.cos/sin themselves at a finite
@@ -335,7 +346,11 @@ def _kernel_lines(tables: Sequence[tuple], env: dict, outputs, zero: str, one_st
                     ]
                 else:
                     lines.append(f"C{n}, S{n} = _cos_sin({w_n}, theta)")
-            total += f" + ((0.0{terms(a)}) * C{trig[w]} + (0.0{terms(b)}) * S{trig[w]})"
+            # an empty polynomial's product 0.0 * C or 0.0 * S is left out: it is a
+            # zero, or a NaN the other product repeats, and no output sum from
+            # +0.0 is ever -0.0, so no bit changes
+            products = [f"(0.0{terms(p)}) * {f}{trig[w]}" for p, f in ((a, "C"), (b, "S")) if p]
+            total += f" + ({' + '.join(products)})"
         lines.append(f"{out} = {total}")
     return lines
 

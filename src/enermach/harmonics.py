@@ -24,7 +24,16 @@ from typing import Mapping, Optional, Tuple
 
 import numpy as np
 
-from .energy import EnergyModel, PolynomialEnergy, _compile, _d_flux_table, _table, _zeros, torque
+from .energy import (
+    EnergyModel,
+    PolynomialEnergy,
+    _compile,
+    _d_flux_table,
+    _require_finite,
+    _table,
+    _zeros,
+    torque,
+)
 from .saturation import SaturationCoefficients, _quartic_terms
 
 __all__ = [
@@ -128,6 +137,7 @@ class ZeroAxisSeries:
     def __post_init__(self):
         object.__setattr__(self, "cos_coeffs", tuple(float(c) for c in self.cos_coeffs))
         object.__setattr__(self, "sin_coeffs", tuple(float(c) for c in self.sin_coeffs))
+        _require_finite(self)
 
     def value(self, theta):
         theta = np.asarray(theta, dtype=float)

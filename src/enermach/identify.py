@@ -3,9 +3,12 @@
 With phi_M held fixed the quartic model is linear in its seven magnetic
 parameters, so a weighted linear least-squares solve recovers them from
 measured (phi, i) pairs; both current components of a sample enter as rows
-of one stacked system.  phi_M itself can optionally be refined by a scalar
-Gauss-Newton iteration wrapped around the linear solve (the inner solve is
-repeated at each trial phi_M, i.e. variable projection).
+of one stacked system.  The design column of a parameter is the current of
+its monomial at unit parameter: the columns come from the parameter table
+of :mod:`enermach.saturation`, evaluated by one compiled table kernel.
+phi_M itself can optionally be refined by a scalar Gauss-Newton iteration
+wrapped around the linear solve (the inner solve is repeated at each trial
+phi_M, i.e. variable projection).
 
 Standard errors come from the usual linear-model estimate: residual
 variance times the diagonal of the inverse normal matrix.  They are
@@ -15,13 +18,14 @@ conditional on phi_M.
 from __future__ import annotations
 
 import csv
+import functools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .energy import _require_finite
-from .saturation import SaturationCoefficients, saturated_currents
+from .energy import _compile, _d_flux_table, _require_finite, _table
+from .saturation import _QUARTIC, SaturationCoefficients, saturated_currents
 
 __all__ = [
     "PARAM_NAMES",
@@ -35,17 +39,7 @@ __all__ = [
     "write_samples_csv",
 ]
 
-PARAM_NAMES = (
-    "inv_L_d",
-    "inv_L_q",
-    "alpha_30",
-    "alpha_12",
-    "alpha_40",
-    "alpha_22",
-    "alpha_04",
-)
-
-_SCALE_POWERS = (2, 2, 3, 3, 4, 4, 4)
+PARAM_NAMES = tuple(name for name, _, _, _, _ in _QUARTIC)
 
 _GN_MAX_ITER = 50
 _GN_REL_TOL = 1.0e-10
@@ -98,22 +92,14 @@ class FitResult:
     iterations: int = 0
 
 
-def _design(phi_d, phi_q, phi_M: float):
-    """Design matrix with each sample contributing an i_d row and an i_q row."""
-    x = phi_d - phi_M
-    y = phi_q
-    zeros = np.zeros_like(x)
-    rows_d = np.stack(
-        [x, zeros, 3.0 * x**2, y**2, 4.0 * x**3, 2.0 * x * y**2, zeros], axis=-1
-    )
-    rows_q = np.stack(
-        [zeros, y, zeros, 2.0 * x * y, zeros, 2.0 * x**2 * y, 4.0 * y**3], axis=-1
-    )
-    # samples interleave as (i_d row, i_q row) pairs
-    a = np.empty((2 * x.size, len(PARAM_NAMES)))
-    a[0::2] = rows_d
-    a[1::2] = rows_q
-    return a
+@functools.cache
+def _monomial_currents():
+    """Kernel of the design columns: the currents of each quartic monomial at unit parameter.
+
+    Its outputs are the i_d columns in PARAM_NAMES order, then the i_q columns.
+    """
+    units = [_table([(0, {ij: factor}, {})]) for _, _, ij, factor, _ in _QUARTIC]
+    return _compile([_d_flux_table(t, axis) for axis in (0, 1) for t in units])
 
 
 def _solve(a_w: np.ndarray, b_w: np.ndarray):
@@ -166,8 +152,11 @@ def fit_saturation(
     phi_d, phi_q, b, sqrt_w = _assemble(samples)
 
     def solve_at(m: float):
-        a_w = _design(phi_d, phi_q, m) * sqrt_w[:, None]
-        return _solve(a_w, b * sqrt_w)
+        x = phi_d - m
+        columns = _monomial_currents()(0.0, x, phi_q, np.zeros_like(x))
+        # samples interleave as (i_d row, i_q row) pairs
+        a = np.stack(columns, axis=-1).reshape(-1, len(PARAM_NAMES))
+        return _solve(a * sqrt_w[:, None], b * sqrt_w)
 
     m = float(phi_M)
     converged = True
@@ -202,17 +191,11 @@ def fit_saturation(
 
     try:
         coefficients = SaturationCoefficients(
-            inv_L_d=float(beta[0]),
-            inv_L_q=float(beta[1]),
             phi_M=m,
-            alpha_30=float(beta[2]),
-            alpha_12=float(beta[3]),
-            alpha_40=float(beta[4]),
-            alpha_22=float(beta[5]),
-            alpha_04=float(beta[6]),
             kinetic_coeff=kinetic_coeff,
             n_p=n_p,
             R_s=R_s,
+            **{name: float(value) for name, value in zip(PARAM_NAMES, beta)},
         )
     except ValueError as e:
         raise ValueError(f"fit produced invalid coefficients: {e}") from e
@@ -264,11 +247,11 @@ def report_scaled(r: FitResult) -> Dict[str, Tuple[float, Optional[float]]]:
     scaled = r.coefficients.scaled_values()
     m = r.coefficients.phi_M
     out: Dict[str, Tuple[float, Optional[float]]] = {}
-    for name, power, raw_name in zip(scaled.keys(), _SCALE_POWERS, PARAM_NAMES):
+    for name, key, _, _, power in _QUARTIC:
         err = None
         if r.std_errors is not None:
-            err = r.std_errors[raw_name] * m**power
-        out[name] = (scaled[name], err)
+            err = r.std_errors[name] * m**power
+        out[key] = (scaled[key], err)
     return out
 
 

@@ -11,6 +11,12 @@ Only even powers of y appear, which keeps the d-axis a symmetry axis of the
 magnetics.  Coefficients are routinely published in dimensionless form,
 premultiplied by powers of phi_M; ``from_scaled`` and ``scaled_values``
 convert between the two.
+
+This parameterisation is written down once, in the module-private table
+``_QUARTIC``: per parameter its scaled key, its monomial x**i y**j, its
+factor in H_mag and its power of phi_M.  The model's energy table, the
+scaled form, the config's coefficient keys and the design matrix of
+:mod:`enermach.identify` are all derived from it.
 """
 
 from __future__ import annotations
@@ -41,16 +47,21 @@ __all__ = [
     "SCALED_KEYS",
 ]
 
-#: Order of the scaled-coefficient table used by from_scaled / scaled_values.
-SCALED_KEYS = (
-    "phiM2_inv_Ld",
-    "phiM2_inv_Lq",
-    "phiM3_alpha_30",
-    "phiM3_alpha_12",
-    "phiM4_alpha_40",
-    "phiM4_alpha_22",
-    "phiM4_alpha_04",
+# The quartic's parameterisation, one row per parameter in field order:
+# field name, scaled key, exponents (i, j) of x**i y**j, factor of the
+# parameter in H_mag, and the power of phi_M in the scaled form.
+_QUARTIC = (
+    ("inv_L_d", "phiM2_inv_Ld", (2, 0), 0.5, 2),
+    ("inv_L_q", "phiM2_inv_Lq", (0, 2), 0.5, 2),
+    ("alpha_30", "phiM3_alpha_30", (3, 0), 1.0, 3),
+    ("alpha_12", "phiM3_alpha_12", (1, 2), 1.0, 3),
+    ("alpha_40", "phiM4_alpha_40", (4, 0), 1.0, 4),
+    ("alpha_22", "phiM4_alpha_22", (2, 2), 1.0, 4),
+    ("alpha_04", "phiM4_alpha_04", (0, 4), 1.0, 4),
 )
+
+#: Order of the scaled-coefficient table used by from_scaled / scaled_values.
+SCALED_KEYS = tuple(key for _, key, _, _, _ in _QUARTIC)
 
 
 @dataclass(frozen=True)
@@ -104,20 +115,15 @@ class SaturationCoefficients:
         R_s: float = 0.0,
     ) -> "SaturationCoefficients":
         """Build from the dimensionless published form (A*Wb units)."""
+        scaled = locals()  # the arguments by name, before any other local is bound
         if phi_M <= 0.0:
             raise ValueError("scaled coefficients need phi_M > 0")
         return cls(
-            inv_L_d=phiM2_inv_Ld / phi_M**2,
-            inv_L_q=phiM2_inv_Lq / phi_M**2,
             phi_M=phi_M,
-            alpha_30=phiM3_alpha_30 / phi_M**3,
-            alpha_12=phiM3_alpha_12 / phi_M**3,
-            alpha_40=phiM4_alpha_40 / phi_M**4,
-            alpha_22=phiM4_alpha_22 / phi_M**4,
-            alpha_04=phiM4_alpha_04 / phi_M**4,
             kinetic_coeff=kinetic_coeff,
             n_p=n_p,
             R_s=R_s,
+            **{name: scaled[key] / phi_M**p for name, key, _, _, p in _QUARTIC},
         )
 
     def scaled_values(self) -> dict:
@@ -125,28 +131,12 @@ class SaturationCoefficients:
         if self.phi_M <= 0.0:
             raise ValueError("scaled form needs phi_M > 0")
         m = self.phi_M
-        return {
-            "phiM2_inv_Ld": m**2 * self.inv_L_d,
-            "phiM2_inv_Lq": m**2 * self.inv_L_q,
-            "phiM3_alpha_30": m**3 * self.alpha_30,
-            "phiM3_alpha_12": m**3 * self.alpha_12,
-            "phiM4_alpha_40": m**4 * self.alpha_40,
-            "phiM4_alpha_22": m**4 * self.alpha_22,
-            "phiM4_alpha_04": m**4 * self.alpha_04,
-        }
+        return {key: m**p * getattr(self, name) for name, key, _, _, p in _QUARTIC}
 
 
 def _quartic_terms(c: SaturationCoefficients) -> dict:
     """Coefficients of x**i y**j in H_mag, keyed by (i, j)."""
-    return {
-        (2, 0): 0.5 * c.inv_L_d,
-        (0, 2): 0.5 * c.inv_L_q,
-        (3, 0): c.alpha_30,
-        (1, 2): c.alpha_12,
-        (4, 0): c.alpha_40,
-        (2, 2): c.alpha_22,
-        (0, 4): c.alpha_04,
-    }
+    return {ij: factor * getattr(c, name) for name, _, ij, factor, _ in _QUARTIC}
 
 
 def saturated_currents(c: SaturationCoefficients, phi):

@@ -13,6 +13,7 @@ from enermach.energy import (
     _compile,
     _d_flux_table,
     _d_theta_table,
+    _kernel_lines,
     _table,
     linear_energy,
     synrm_energy,
@@ -143,6 +144,15 @@ def test_coefficients_are_bound_not_printed():
         bound = sorted(v for k, v in names.items() if k[0] == "c" and k[1:].isdigit())
         coeffs = sorted(c for t in tables for _, a, b in t for c in (*a.values(), *b.values()))
         assert [c.hex() for c in bound] == [c.hex() for c in coeffs]
+
+
+def test_empty_polynomials_are_not_multiplied_by_cos_or_sin():
+    m = load_config(CONFIG_DIR / "harmonic_ipm.yaml").model
+    tables = (m._h_x, m._h_y, m._h_theta)
+    assert any(w and not (a and b) for t in tables for w, a, b in t)
+    array_lines = _kernel_lines(tables, {}, ("t0", "t1", "t2"), "zero", one_state=False, variables=("x", "y"))
+    for line in m._stage_source({}) + array_lines:
+        assert "(0.0) *" not in line, line
 
 
 def test_config_loading_compiles_nothing():

@@ -12,6 +12,7 @@ from enermach.identify import (
     read_samples_csv,
     report_scaled,
     write_samples_csv,
+    _monomial_currents,
 )
 from enermach.saturation import saturated_currents
 from helpers import ipm_saturation
@@ -218,3 +219,16 @@ def test_sample_csv_errors_carry_line_numbers(tmp_path):
 
 def test_param_name_table_is_stable():
     assert PARAM_NAMES == _ATTRS
+
+
+def test_design_columns_are_the_monomial_currents():
+    # closed-form d/dx and d/dy of each parameter's term of H_mag at unit
+    # parameter, in PARAM_NAMES order; the kernel builds x**3 as (x * x) * x
+    rng = np.random.default_rng(23)
+    x, y = rng.uniform(-0.2, 0.2, (2, 200))
+    zero = np.zeros_like(x)
+    want = [x, zero, 3.0 * x**2, y**2, 4.0 * x**3, 2.0 * x * y**2, zero]
+    want += [zero, y, zero, 2.0 * x * y, zero, 2.0 * x**2 * y, 4.0 * y**3]
+    got = _monomial_currents()(0.0, x, y, np.zeros_like(x))
+    assert len(got) == 2 * len(PARAM_NAMES)
+    np.testing.assert_allclose(np.stack(got), np.stack(want), rtol=1.0e-15, atol=0.0)

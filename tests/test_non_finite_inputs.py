@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 from enermach.cli import EXIT_CONFIG, main
+from enermach.dynamics import TableLoad, TableVoltage
 from enermach.energy import LinearPmsmParams
+from enermach.harmonics import ZeroAxisSeries
 from enermach.identify import FluxSample, generate_synthetic, write_samples_csv
 from enermach.induction import ImParams
 from enermach.saturation import SaturationCoefficients
@@ -87,3 +89,26 @@ def test_linear_params_reject_non_finite_fields(field, value):
 def test_saturation_coefficients_reject_non_finite_fields(field, value):
     with pytest.raises(ValueError, match=f"^{field} must be finite"):
         dataclasses.replace(ipm_saturation(), **{field: value})
+
+
+def _tables():
+    """One valid instance of each class that holds sequences of numbers."""
+    return [
+        TableVoltage(times=(0.0, 1.0, 2.0), u_d=(1.0, 2.0, 3.0), u_q=(0.0, 0.5, 0.0)),
+        TableLoad(times=(0.0, 1.0, 2.0), torque=(0.5, 1.5, 0.0)),
+        ZeroAxisSeries(cos_coeffs=(4.0e-3, 1.0e-3), sin_coeffs=(2.0e-3, 0.0)),
+    ]
+
+
+@pytest.mark.parametrize("value", BAD_NUMBERS)
+@pytest.mark.parametrize(
+    "table, field",
+    [(table, field) for table in _tables() for field in _fields(table)],
+    ids=lambda p: p if isinstance(p, str) else type(p).__name__,
+)
+def test_sequence_fields_reject_non_finite_entries(table, field, value):
+    # a NaN time would pass the ordering check on its own: NaN compares False
+    entries = list(getattr(table, field))
+    entries[1] = value
+    with pytest.raises(ValueError, match=rf"^{field}\[1\] must be finite"):
+        dataclasses.replace(table, **{field: tuple(entries)})
