@@ -15,7 +15,7 @@ import copy
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
+# concurrent.futures loads multiprocessing, socket and logging: cmd_sweep imports it for its pool
 from pathlib import Path
 from typing import List, Optional
 
@@ -227,6 +227,8 @@ def cmd_sweep(args) -> int:
     if workers == 1:
         results = [_sweep_worker(p) for p in payloads]
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_worker, payloads))
     for (path, n), value in zip(results, values):

@@ -509,11 +509,16 @@ class MotorConfig:
         _reject_unknown(d, "top level")
 
 
+# libyaml's parser, where PyYAML was built with it, reads a config about
+# five times faster than the pure-Python one, into the same mapping
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
 def load_config(path) -> MotorConfig:
     """Parse and validate a YAML config file."""
     try:
         with open(path, "r") as f:
-            raw = yaml.safe_load(f)
+            raw = yaml.load(f, Loader=_YAML_LOADER)
     except yaml.YAMLError as e:
         raise ConfigError(f"{path}: not valid YAML: {e}") from e
     if raw is None:

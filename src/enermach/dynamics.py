@@ -12,12 +12,16 @@ slip speed omega_s - omega.
 
 Integrators are fixed-step (classic fourth-order Runge-Kutta and explicit
 Euler), so a run is a pure function of its inputs; repeating one bit for
-bit is the baseline determinism guarantee.  Each model and integrator gets
-one generated, straight-line Python function for a whole step and one for
-a record row (:func:`_program`): the model's evaluation, the torque, the
-state equations and the stage updates are written out, and only the
-drive's voltage and load are called.  Its code depends on the model's
-structure, not its coefficients, and is compiled once per process.
+bit is the baseline determinism guarantee.  Each model, drive and
+integrator gets generated Python code (:func:`_functions`): a whole run
+with its time loop, its record rows and its finiteness test, and from the
+same lines one function for a single step and one for a record row.  The
+model's evaluation, the torque, the state equations and the stage updates
+are written out, and so are the drive kinds that are plain arithmetic
+(constant and sinusoid voltages, constant and linear loads); a table drive
+or any other callable is called at every stage.  The code depends on the
+model's structure and the drive kinds, not on their parameters, and is
+compiled once per process.
 
 Energy bookkeeping: along an exact trajectory
 
@@ -47,6 +51,7 @@ from .energy import (
     MachineState,
     SaturationRangeWarning,
     _Excursions,
+    _bind,
     _generated,
     _require_finite,
 )
@@ -140,6 +145,9 @@ class ConstantVoltage:
     def __call__(self, t: float) -> Tuple[float, float]:
         return (self.u_d, self.u_q)
 
+    def _source(self, env: dict) -> list:
+        return [f"u_d = {_bind(env, 'u_d', self.u_d)}", f"u_q = {_bind(env, 'u_q', self.u_q)}"]
+
 
 @dataclass(frozen=True)
 class SinusoidVoltage:
@@ -157,6 +165,17 @@ class SinusoidVoltage:
             self.amp_d * math.cos(w + self.phase_d),
             self.amp_q * math.cos(w + self.phase_q),
         )
+
+    def _source(self, env: dict) -> list:
+        # 2*pi*freq_hz is bound as one value: (2.0 * pi * freq_hz) * t is the
+        # product __call__ forms, so the inlined voltage is bit-identical
+        env["cos"] = math.cos
+        w = _bind(env, "w", 2.0 * math.pi * self.freq_hz)
+        return [
+            f"wt = {w} * ts",
+            f"u_d = {_bind(env, 'amp', self.amp_d)} * cos(wt + {_bind(env, 'phase', self.phase_d)})",
+            f"u_q = {_bind(env, 'amp', self.amp_q)} * cos(wt + {_bind(env, 'phase', self.phase_q)})",
+        ]
 
 
 @dataclass(frozen=True)
@@ -187,6 +206,9 @@ class ConstantLoad:
     def __call__(self, t: float, omega: float) -> float:
         return self.torque
 
+    def _source(self, env: dict) -> list:
+        return [f"t_load = {_bind(env, 'torque', self.torque)}"]
+
 
 @dataclass(frozen=True)
 class LinearLoad:
@@ -197,6 +219,9 @@ class LinearLoad:
 
     def __call__(self, t: float, omega: float) -> float:
         return self.torque_0 + self.coeff * omega
+
+    def _source(self, env: dict) -> list:
+        return [f"t_load = {_bind(env, 'torque', self.torque_0)} + {_bind(env, 'coeff', self.coeff)} * omega"]
 
 
 @dataclass(frozen=True)
@@ -236,18 +261,31 @@ def _callee(fn):
     return call if isinstance(call, types.MethodType) else fn
 
 
+def _drive_source(fn, env: dict, name: str, call: str) -> Tuple[list, bool]:
+    """Source lines that evaluate one drive at the stage, and whether it is pure.
+
+    The drive kinds that are plain arithmetic of their parameters (their
+    own class defines ``_source``) are written out, with the parameters
+    bound in ``env``; a subclass, a table or any other callable is bound
+    as ``name`` and called, which is ``call``.
+    """
+    if "_source" in type(fn).__dict__:
+        return fn._source(env), True
+    env[name] = _callee(fn)
+    return [call], False
+
+
 def _as_voltage_fn(u) -> Callable[[float], Tuple[float, float]]:
     if callable(u):
-        return _callee(u)
+        return u
     u_d, u_q = (float(v) for v in u)
-    return lambda t: (u_d, u_q)
+    return ConstantVoltage(u_d, u_q)
 
 
 def _as_load_fn(load) -> Callable[[float, float], float]:
     if callable(load):
-        return _callee(load)
-    value = float(load)
-    return lambda t, omega: value
+        return load
+    return ConstantLoad(float(load))
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +346,7 @@ class Trajectory:
 
 
 # ---------------------------------------------------------------------------
-# the simulator: one generated step, one generated record function
+# the simulator: one generated run, step and record function
 
 
 def _resistances(model: EnergyModel) -> Tuple[float, float]:
@@ -321,20 +359,30 @@ def _resistances(model: EnergyModel) -> Tuple[float, float]:
     return R_s, R_r
 
 
-def _program(model: EnergyModel, voltage_fn, load_fn, omega_s, dt, method: str, outside):
-    """The generated ``step(t, state) -> state`` and ``record(t, state) -> row``.
+def _functions(model: EnergyModel, voltage, load, omega_s, dt, method: str, outside) -> dict:
+    """The generated ``step``, ``record`` and ``run`` of one model, drive and integrator.
 
-    The state is a list of Python floats (theta, rho, phi).  ``step``
-    advances it by one rk4 or Euler step of ``dt``; ``record`` builds the
-    record row at a state.  Both are straight-line code: every stage is the
-    model's ``_stage_source``, the torque, the drive calls and the state
-    equations, and the stage updates are written out, with the operations
-    and their order of a loop over stages.  The stator pair's frame turns
-    at omega for single-winding machines and at omega_s for the induction
+    The state is theta, rho and the flux components, as Python floats.
+    ``step(t, state) -> state`` advances a state list by one rk4 or Euler
+    step of ``dt``; ``record(t, state) -> row`` builds the record row at a
+    state.  ``run(state, ks, n, stride) -> (rows, k1)`` is a whole run of
+    ``n`` steps, numbered ``(k, k + 1)`` by ``ks``, with the state in local
+    floats and the rows of the start, of every ``stride``-th step and of
+    the last one built inline.  It stops after the first step with a
+    component ``v - v != 0.0`` (not finite) and returns that step's ``k1``,
+    else ``None``.
+
+    All three are straight-line code written from the same stage lines:
+    the model's ``_stage_source``, the torque, the drive (:func:`_drive_source`)
+    and the state equations, with the operations and their order of a loop
+    over stages.  A written-out voltage is pure, so the two rk4 stages at
+    ``t + h`` share one evaluation of it.  The stator pair's frame turns at
+    omega for single-winding machines and at omega_s for the induction
     machine; the rotor pair's frame turns at the slip speed omega_s - omega.
     Parameters are names bound in the functions' namespace, so the source
-    depends only on the model's structure and the integrator, and it is
-    compiled once per process (:func:`enermach.energy._generated`).
+    depends only on the model's structure, the drive kinds and the
+    integrator, and it is compiled once per process
+    (:func:`enermach.energy._generated`).
     """
     R_s, R_r = _resistances(model)
     env = {
@@ -345,12 +393,13 @@ def _program(model: EnergyModel, voltage_fn, load_fn, omega_s, dt, method: str, 
         "dt": dt,
         "h": 0.5 * dt,
         "h6": dt / 6.0,
-        "voltage": voltage_fn,
-        "load": load_fn,
         "outside": outside,
     }
     state = ("theta", "rho", *_FLUX_NAMES[: model.flux_dim])
-    stage = [*model._stage_source(env), f"te = {_TORQUE}", "u_d, u_q = voltage(ts)", "t_load = load(ts, omega)"]
+    evaluation = [*model._stage_source(env), f"te = {_TORQUE}"]
+    voltage_lines, pure = _drive_source(voltage, env, "voltage", "u_d, u_q = voltage(ts)")
+    load_lines, _ = _drive_source(load, env, "load", "t_load = load(ts, omega)")
+    stage = [*evaluation, *voltage_lines, *load_lines]
     w_s = "omega_s" if model.flux_dim == 4 else "omega"
     slopes = [
         "omega",
@@ -360,28 +409,59 @@ def _program(model: EnergyModel, voltage_fn, load_fn, omega_s, dt, method: str, 
         "-R_r * i_rd + (omega_s - omega) * phi_rq",
         "-R_r * i_rq - (omega_s - omega) * phi_rd",
     ][: len(state)]
-    # (stage time, step from the start of the step to the stage state)
-    stages = [("t", None), ("t + h", "h"), ("t + h", "h"), ("t + dt", "dt")]
+    # (stage time, step from the start of the step to the stage state); a
+    # stage time of None repeats the one before
+    stages = [("t", None), ("t + h", "h"), (None, "h"), ("t + dt", "dt")]
     if method == "euler":
         stages = stages[:1]
         new_state = [f"{v}0 + dt * k0_{j}" for j, v in enumerate(state)]
     else:
         new_state = [f"{v}0 + h6 * (k0_{j} + 2.0 * k1_{j} + 2.0 * k2_{j} + k3_{j})" for j, v in enumerate(state)]
-    body = [f"{', '.join(state)} = state", f"{', '.join(v + '0' for v in state)} = state"]
+    advance = []
     for k, (ts, scale) in enumerate(stages):
         if scale:
-            body += [f"{v} = {v}0 + {scale} * k{k - 1}_{j}" for j, v in enumerate(state)]
-        body += [f"ts = {ts}", *stage, *(f"k{k}_{j} = {e}" for j, e in enumerate(slopes))]
-    body.append(f"return [{', '.join(new_state)}]")
+            advance += [f"{v} = {v}0 + {scale} * k{k - 1}_{j}" for j, v in enumerate(state)]
+        if ts:
+            advance += [f"ts = {ts}", *stage]
+        else:
+            advance += [*evaluation, *([] if pure else voltage_lines), *load_lines]
+        advance += [f"k{k}_{j} = {e}" for j, e in enumerate(slopes)]
+    # the new state is also the start of the next step
+    advance += [f"{v}0 = {v} = {e}" for v, e in zip(state, new_state)]
     row = ["t", "theta", "rho", "omega", "phi_d", "phi_q", "i_d", "i_q", "u_d", "u_q", "te", "t_load"]
     if model.flux_dim == 4:
         row += ["phi_rd", "phi_rq", "i_rd", "i_rq", "omega_s * t"]
-    record = [f"{', '.join(state)} = state", "ts = t", *stage, f"return [{', '.join(row)}]"]
+    row = f"[{', '.join(row)}]"
+    unpack = f"{', '.join(state)} = state"
+    start = f"{', '.join(v + '0' for v in state)} = state"
+    finite = " or ".join(f"{v} - {v} != 0.0" for v in state)
+    functions = {
+        "step(t, state)": [unpack, start, *advance, f"return [{', '.join(state)}]"],
+        "record(t, state)": [unpack, "ts = t", *stage, f"return {row}"],
+        "run(state, ks, n, stride)": [
+            unpack,
+            start,
+            "t = ts = 0.0",
+            *stage,
+            f"rows = [{row}]",
+            "for k, k1 in ks:",
+            *(f"    {line}" for line in ["t = k * dt", *advance]),
+            f"    if {finite}:",
+            "        return rows, k1",
+            "    if not k1 % stride or k1 == n:",
+            *(f"        {line}" for line in ["t = ts = k1 * dt", *stage, f"rows.append({row})"]),
+            "return rows, None",
+        ],
+    }
     source = "".join(
-        f"def {name}(t, state):\n" + "".join(f"    {line}\n" for line in lines)
-        for name, lines in (("step", body), ("record", record))
+        f"def {signature}:\n" + "".join(f"    {line}\n" for line in lines) for signature, lines in functions.items()
     )
-    functions = _generated(source, env)
+    return _generated(source, env)
+
+
+def _program(model: EnergyModel, voltage, load, omega_s, dt, method: str, outside):
+    """The generated ``step`` and ``record`` of :func:`_functions`."""
+    functions = _functions(model, voltage, load, omega_s, dt, method, outside)
     return functions["step"], functions["record"]
 
 
@@ -435,20 +515,15 @@ def simulate(m: EnergyModel, state0: MachineState, drive: Drive, cfg: SimConfig)
     check that.
     """
     outside = _Excursions()
-    voltage_fn, load_fn = _as_voltage_fn(drive.voltage), _as_load_fn(drive.load)
-    step, record = _program(m, voltage_fn, load_fn, cfg.omega_s, cfg.dt, cfg.integrator, outside)
-    n, dt, stride = _n_steps(cfg), cfg.dt, cfg.record_stride
-    y = _state_vector(state0)
+    drive_fns = _as_voltage_fn(drive.voltage), _as_load_fn(drive.load)
+    run = _functions(m, *drive_fns, cfg.omega_s, cfg.dt, cfg.integrator, outside)["run"]
+    n = _n_steps(cfg)
     try:
-        rows = [record(0.0, y)]
-        for k in range(n):
-            y = step(k * dt, y)
-            if not all(map(math.isfinite, y)):
-                raise SimulationError("non-finite state", (k + 1) * dt)
-            if (k + 1) % stride == 0 or k + 1 == n:
-                rows.append(record((k + 1) * dt, y))
+        rows, failed = run(_state_vector(state0), zip(range(n), range(1, n + 1)), n, cfg.record_stride)
     finally:
         outside.warn(stacklevel=2)
+    if failed is not None:
+        raise SimulationError("non-finite state", failed * cfg.dt)
     return Trajectory(IM_COLUMNS if m.flux_dim == 4 else PMSM_COLUMNS, np.array(rows))
 
 

@@ -355,6 +355,14 @@ def _kernel_lines(tables: Sequence[tuple], env: dict, outputs, zero: str, one_st
     return lines
 
 
+def _state_without_kernels(self) -> dict:
+    """``__getstate__`` of a class whose compiled ``*_kernel`` properties do not pickle.
+
+    They are compiled again on first use after unpickling.
+    """
+    return {k: v for k, v in self.__dict__.items() if not k.endswith("_kernel")}
+
+
 def _compile(tables: Sequence[tuple], n_vars: int = 2):
     """Compile tables over ``n_vars`` variables into ``(theta, x, y, ..., zero) -> tuple``.
 
@@ -460,9 +468,7 @@ class PolynomialEnergy(EnergyModel):
     def _gradient_kernel(self):
         return _compile((*self._h_flux, self._h_theta), self.flux_dim)
 
-    def __getstate__(self):
-        # compiled kernels do not pickle; they are compiled again on first use
-        return {k: v for k, v in self.__dict__.items() if not k.endswith("_kernel")}
+    __getstate__ = _state_without_kernels
 
     def _check_box(self, x, y):
         # the warning points at the caller of the public method; one state

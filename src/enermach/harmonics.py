@@ -20,6 +20,7 @@ star-connected winding.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping, Optional, Tuple
 
 import numpy as np
@@ -30,6 +31,7 @@ from .energy import (
     _compile,
     _d_flux_table,
     _require_finite,
+    _state_without_kernels,
     _table,
     _zeros,
     torque,
@@ -75,17 +77,25 @@ class FluxPolynomial:
             clean[(int(i), int(j))] = float(c)
         object.__setattr__(self, "coeffs", clean)
 
+    __getstate__ = _state_without_kernels
+
+    @cached_property
+    def _value_kernel(self):
+        return _compile((_table([(0, self.coeffs, {})]),))
+
+    @cached_property
+    def _grad_kernel(self):
+        table = _table([(0, self.coeffs, {})])
+        return _compile((_d_flux_table(table, 0), _d_flux_table(table, 1)))
+
     def value(self, x, y):
         x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-        table = _table([(0, self.coeffs, {})])
-        return _compile((table,))(0.0, x, y, _zeros(x, y))[0]
+        return self._value_kernel(0.0, x, y, _zeros(x, y))[0]
 
     def grad(self, x, y):
         """(d/dx, d/dy), each broadcast like the inputs."""
         x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-        table = _table([(0, self.coeffs, {})])
-        kernel = _compile((_d_flux_table(table, 0), _d_flux_table(table, 1)))
-        gx, gy = kernel(0.0, x, y, _zeros(x, y))
+        gx, gy = self._grad_kernel(0.0, x, y, _zeros(x, y))
         return gx, gy
 
     def even_in_y(self) -> bool:
@@ -223,6 +233,10 @@ def neutral_voltage(model: HarmonicPmsmEnergy, t, theta, rho, phi=None, v_s0=0.0
     t = np.asarray(t, dtype=float)
     theta = np.asarray(theta, dtype=float)
     rho = np.asarray(rho, dtype=float)
+    # a NaN time would pass the ordering check on its own: NaN compares False
+    bad = np.flatnonzero(~np.isfinite(t))
+    if bad.size:
+        raise ValueError(f"t[{bad[0]}] must be finite, got {float(t.flat[bad[0]])}")
     if t.size >= 2 and np.any(np.diff(t) <= 0.0):
         raise ValueError("trajectory times must be strictly increasing")
     if phi is None:

@@ -25,6 +25,7 @@ Each current is the table's sum of two monomials, e.g. i_sd =
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Tuple
 
 import numpy as np
@@ -109,9 +110,15 @@ class ImFlux:
         return ImFlux(v[..., 0:2], v[..., 2:4])
 
 
+@lru_cache(maxsize=8)
+def _model(p: ImParams) -> "ImEnergy":
+    """The model of ``p`` the one-call front ends share, so its kernels compile once."""
+    return ImEnergy(p)
+
+
 def im_currents(p: ImParams, f: ImFlux) -> Tuple[np.ndarray, np.ndarray]:
     """Stator and rotor currents from the flux pair."""
-    i = ImEnergy(p).d_flux(0.0, 0.0, f.as_vector())
+    i = _model(p).d_flux(0.0, 0.0, f.as_vector())
     return i[..., 0:2], i[..., 2:4]
 
 
@@ -124,7 +131,7 @@ def invert_currents(p: ImParams, i_s, i_r) -> ImFlux:
 
 def im_torque(p: ImParams, f: ImFlux) -> float:
     """Electromagnetic torque n_p * (i_sq*phi_sd - i_sd*phi_sq): :func:`torque` of the model."""
-    return torque(ImEnergy(p), 0.0, 0.0, f.as_vector())
+    return torque(_model(p), 0.0, 0.0, f.as_vector())
 
 
 class ImEnergy(PolynomialEnergy):

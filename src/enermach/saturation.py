@@ -22,6 +22,7 @@ scaled form, the config's coefficient keys and the design matrix of
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -32,7 +33,6 @@ from .energy import (
     _require_finite,
     _components,
     _d_flux_table,
-    _table,
     _vector,
     _zeros,
 )
@@ -139,19 +139,22 @@ def _quartic_terms(c: SaturationCoefficients) -> dict:
     return {ij: factor * getattr(c, name) for name, _, ij, factor, _ in _QUARTIC}
 
 
+@lru_cache(maxsize=8)
+def _model(c: SaturationCoefficients) -> "SaturatedPmsmEnergy":
+    """The model of ``c`` the one-call front ends share, so its kernels compile once."""
+    return SaturatedPmsmEnergy(c)
+
+
 def saturated_currents(c: SaturationCoefficients, phi):
     """Currents (i_d, i_q) = dH_mag/dphi of the quartic model, shape (..., 2)."""
-    return SaturatedPmsmEnergy(c).d_flux(0.0, 0.0, phi)
+    return _model(c).d_flux(0.0, 0.0, phi)
 
 
 def incremental_inductance(c: SaturationCoefficients, phi):
     """Jacobian di/dphi of the quartic model, symmetric, shape (..., 2, 2), 1/H."""
     phi_d, y = _components(phi)
     x = phi_d - c.phi_M
-    h = _table([(0, _quartic_terms(c), {})])
-    h_x, h_y = _d_flux_table(h, 0), _d_flux_table(h, 1)
-    hessian = (_d_flux_table(h_x, 0), _d_flux_table(h_x, 1), _d_flux_table(h_y, 1))
-    dd, dq, qq = _compile(hessian)(0.0, x, y, _zeros(x))
+    dd, dq, qq = _model(c)._hessian_kernel(0.0, x, y, _zeros(x))
     return np.stack([_vector((dd, dq)), _vector((dq, qq))], axis=-2)
 
 
@@ -162,6 +165,12 @@ class SaturatedPmsmEnergy(PolynomialEnergy):
         self.params = c = coefficients
         box = c.phi_M if c.phi_M > 0.0 else None
         super().__init__([(0, _quartic_terms(c), {})], c.phi_M, c.kinetic_coeff, c.n_p, box)
+
+    @cached_property
+    def _hessian_kernel(self):
+        # d2H/dx2, d2H/dxdy, d2H/dy2
+        h_x, h_y = self._h_x, self._h_y
+        return _compile((_d_flux_table(h_x, 0), _d_flux_table(h_x, 1), _d_flux_table(h_y, 1)))
 
 
 def saturated_energy(c: SaturationCoefficients) -> SaturatedPmsmEnergy:

@@ -10,6 +10,7 @@ import pytest
 import yaml
 
 from enermach.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, main
+from enermach.config import _YAML_LOADER
 from enermach.identify import generate_synthetic, write_samples_csv
 from enermach.saturation import SCALED_KEYS, SaturationCoefficients
 
@@ -192,6 +193,29 @@ def test_non_finite_number_exits_1_naming_the_key(key, value, tmp_path):
     assert run.returncode == EXIT_CONFIG
     assert f"sim.{key}" in run.stderr
     assert "Traceback" not in run.stderr
+
+
+def test_malformed_yaml_exits_1(tmp_path, capsys):
+    path = tmp_path / "bad.yaml"
+    path.write_text("model: [n_p: 3\n")
+    assert main(["simulate", "--config", str(path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "not valid YAML" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.yaml")), ids=lambda p: p.stem)
+def test_config_loader_reads_the_pure_python_loaders_mapping(path):
+    # repr tells an int from an equal float, which a run could tell apart
+    text = path.read_text()
+    assert repr(yaml.load(text, Loader=_YAML_LOADER)) == repr(yaml.load(text, Loader=yaml.SafeLoader))
+
+
+def test_importing_the_cli_leaves_the_process_pool_out():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC_DIR), os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, enermach.cli; print('concurrent.futures' in sys.modules)"
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "False"
 
 
 def test_missing_config_exits_3(tmp_path, capsys):

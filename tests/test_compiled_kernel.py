@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from enermach import energy
 from enermach.config import load_config
 from enermach.dynamics import ConstantLoad, ConstantVoltage, Drive, SimConfig, simulate
 from enermach.energy import (
@@ -18,9 +19,15 @@ from enermach.energy import (
     linear_energy,
     synrm_energy,
 )
-from enermach.harmonics import harmonic_energy
-from enermach.induction import im_energy
-from enermach.saturation import SaturationRangeWarning, _quartic_terms, saturated_energy
+from enermach.harmonics import FluxPolynomial, harmonic_energy
+from enermach.induction import ImFlux, im_currents, im_energy, im_torque
+from enermach.saturation import (
+    SaturationRangeWarning,
+    _quartic_terms,
+    incremental_inductance,
+    saturated_currents,
+    saturated_energy,
+)
 from enermach.validate import default_box
 from helpers import (
     CONFIG_DIR,
@@ -169,6 +176,33 @@ def test_models_pickle_after_their_kernels_ran():
     after = clone.gradient(0.3, 1.0, phi)
     assert before[0].tobytes() == after[0].tobytes()
     assert [float(v).hex() for v in before[1:]] == [float(v).hex() for v in after[1:]]
+
+
+def test_one_call_front_ends_compile_their_kernels_once(monkeypatch):
+    made = []
+
+    def counting_kernel_lines(*args, **kwargs):
+        made.append(args[0])
+        return _kernel_lines(*args, **kwargs)
+
+    monkeypatch.setattr(energy, "_kernel_lines", counting_kernel_lines)
+    flux = ImFlux([0.1, 0.02], [0.05, -0.01])
+    phi = np.array([0.2, 0.03])
+    poly = FluxPolynomial({(0, 0): 2.0, (1, 0): 3.0, (2, 2): -1.5})
+    # equal parameters, built afresh at every call
+    front_ends = {
+        "im_currents": lambda: np.concatenate(im_currents(im_params(), flux)),
+        "im_torque": lambda: np.asarray(im_torque(im_params(), flux)),
+        "saturated_currents": lambda: saturated_currents(ipm_saturation(), phi),
+        "incremental_inductance": lambda: incremental_inductance(ipm_saturation(), phi),
+        "FluxPolynomial.value": lambda: np.asarray(poly.value(0.2, 0.03)),
+        "FluxPolynomial.grad": lambda: np.asarray(poly.grad(0.2, 0.03)),
+    }
+    for name, call in front_ends.items():
+        first = call().tobytes()
+        before = len(made)
+        assert call().tobytes() == first, name
+        assert len(made) == before, name
 
 
 @pytest.mark.parametrize("wrap", [False, True], ids=["bare", "delegate"])

@@ -24,6 +24,7 @@ from enermach.dynamics import (
     SinusoidVoltage,
     TableLoad,
     TableVoltage,
+    _functions,
     _program,
     simulate,
     simulate_im,
@@ -100,6 +101,110 @@ def test_generated_step_matches_the_reference_loop(kind, wrap, integrator, drive
     want = _quietly(reference_simulate, m, state0, DRIVES[drive], cfg)
     assert got.data.shape == want.shape == (23, len(got.columns))
     assert got.data.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("drive", DRIVES)
+@pytest.mark.parametrize("integrator", ["rk4", "euler"])
+@pytest.mark.parametrize("kind", MODELS)
+def test_generated_run_records_every_step_as_the_reference_loop(kind, integrator, drive):
+    m = MODELS[kind]()
+    state0 = _initial_state(m)
+    cfg = SimConfig(dt=1.0e-5, t_end=3.0e-4, integrator=integrator, record_stride=1, omega_s=100.0)
+    got = _quietly(simulate, m, state0, DRIVES[drive], cfg)
+    want = _quietly(reference_simulate, m, state0, DRIVES[drive], cfg)
+    assert got.data.shape == want.shape == (31, len(got.columns))
+    assert got.data.tobytes() == want.tobytes()
+
+
+def test_written_out_drives_equal_their_calls_bit_for_bit():
+    # long times and a high frequency make a reassociated 2*pi*f*t show in cos
+    m = MODELS["linear"]()
+    voltage = SinusoidVoltage(amp_d=20.0, amp_q=-40.0, freq_hz=173.3, phase_d=0.3, phase_q=-1.1)
+    load = LinearLoad(0.1, 1.0e-3)
+    _, record = _program(m, voltage, load, 0.0, 1.0e-5, "rk4", _Excursions())
+    s = _initial_state(m)
+    state = [s.theta, s.rho, *s.phi.tolist()]
+    for t in np.linspace(0.0, 3.0, 2001).tolist():
+        row = record(t, state)
+        assert [v.hex() for v in row[8:10]] == [v.hex() for v in voltage(t)]
+        assert row[11].hex() == load(t, row[3]).hex()
+
+
+@pytest.mark.parametrize("integrator", ["rk4", "euler"])
+def test_a_run_that_goes_non_finite_stops_at_the_first_such_step(integrator):
+    m = MODELS["saturated"]()
+    state0 = MachineState(0.0, 0.0, [6.0 * m.params.phi_M, 0.0])
+    cfg = SimConfig(dt=1.0e-3, t_end=0.1, integrator=integrator, record_stride=1)
+    drive = DRIVES["constant"]
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = _quietly(reference_simulate, m, state0, drive, cfg)
+        with pytest.raises(SimulationError, match="non-finite state") as failure:
+            _quietly(simulate, m, state0, drive, cfg)
+    k1 = int(np.flatnonzero(~np.all(np.isfinite(rows[:, [1, 2, 4, 5]]), axis=1))[0])
+    assert 1 < k1 < len(rows) - 1  # mid-run
+    assert failure.value.t == k1 * cfg.dt
+
+
+_CALLS = []
+
+
+class _CountingSinusoid(SinusoidVoltage):
+    """A subclass of a written-out drive kind: its own __call__ must be called."""
+
+    def __call__(self, t):
+        _CALLS.append(("voltage", t))
+        return super().__call__(t)
+
+
+def _counting_voltage(t):
+    _CALLS.append(("voltage", t))
+    return (20.0 * math.cos(300.0 * t), 40.0)
+
+
+def _counting_load(t, omega):
+    _CALLS.append(("load", t))
+    return 0.1 + 1.0e-3 * omega
+
+
+@pytest.mark.parametrize(
+    "voltage", [_counting_voltage, _CountingSinusoid(amp_d=20.0, freq_hz=50.0)], ids=["function", "subclass"]
+)
+@pytest.mark.parametrize("integrator, stages", [("rk4", 4), ("euler", 1)])
+def test_other_drives_are_called_at_every_stage_and_record(integrator, stages, voltage):
+    m = MODELS["saturated"]()
+    cfg = SimConfig(dt=1.0e-5, t_end=1.0e-4, integrator=integrator, record_stride=3)
+    drive = Drive(voltage, _counting_load)
+    _CALLS.clear()
+    got = _quietly(simulate, m, _initial_state(m), drive, cfg)
+    calls = list(_CALLS)
+    _CALLS.clear()
+    want = _quietly(reference_simulate, m, _initial_state(m), drive, cfg)
+    assert got.data.tobytes() == want.tobytes()
+    assert calls == _CALLS  # the same calls in the same order as the reference loop
+    assert len(calls) == 2 * (stages * 10 + len(got))
+
+
+def _run_source(m, drive):
+    run = _functions(m, drive.voltage, drive.load, 0.0, 1.0e-5, "rk4", _Excursions())["run"]
+    source = _source_of(run)
+    return source[source.index("def run(") :]
+
+
+def _time_loop(run_source):
+    """The lines of one step in the generated run: its stages and state update."""
+    return run_source[run_source.index("for k, k1 in ks:") : run_source.index("if not k1 % stride")]
+
+
+@pytest.mark.parametrize("kind", MODELS)
+def test_built_in_drives_are_written_out(kind):
+    m = MODELS[kind]()
+    for name in ("constant", "sinusoid"):
+        run = _run_source(m, DRIVES[name])
+        assert "voltage(" not in run and "load(" not in run
+        # the two stages at t + h share one voltage
+        assert _time_loop(run).count("u_d = ") == 3
+    table = _time_loop(_run_source(m, DRIVES["table"]))
+    assert table.count("voltage(ts)") == table.count("load(ts, omega)") == 4
 
 
 @pytest.mark.parametrize("integrator", ["rk4", "euler"])

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,15 @@ def test_polynomial_value_and_grad():
     gx, gy = p.grad(x, y)
     assert gx == pytest.approx(3.0 - 3.0 * x * y**2, rel=1e-15)
     assert gy == pytest.approx(-3.0 * x**2 * y, rel=1e-15)
+
+
+def test_polynomials_pickle_after_their_kernels_ran():
+    p = FluxPolynomial({(0, 0): 2.0, (1, 0): 3.0, (2, 2): -1.5})
+    value, grad = p.value(0.4, -0.2), p.grad(0.4, -0.2)
+    clone = pickle.loads(pickle.dumps(p))
+    assert clone == p
+    assert clone.value(0.4, -0.2).tobytes() == value.tobytes()
+    assert np.array(clone.grad(0.4, -0.2)).tobytes() == np.array(grad).tobytes()
 
 
 def test_polynomial_degree_cap():
@@ -183,6 +194,14 @@ def test_neutral_voltage_requires_zero_axis():
     model = harmonic_energy(HarmonicModel(base=ipm_saturation()))
     with pytest.raises(ValueError, match="zero-axis"):
         neutral_voltage(model, np.array([0.0, 1.0]), np.array([0.0, 1.0]), np.zeros(2))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")], ids=["nan", "inf", "-inf"])
+def test_neutral_voltage_rejects_non_finite_times_by_entry(bad):
+    # a NaN time would pass the ordering check on its own: NaN compares False
+    m = _model()
+    with pytest.raises(ValueError, match=rf"^t\[1\] must be finite, got {bad}$"):
+        neutral_voltage(m, [0.0, bad, 2.0e-3], [0.0, 0.1, 0.2], [1.0, 1.0, 1.0])
 
 
 def test_neutral_voltage_requires_increasing_time():
