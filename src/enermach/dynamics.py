@@ -21,7 +21,16 @@ are written out, and so are the drive kinds that are plain arithmetic
 (constant and sinusoid voltages, constant and linear loads); a table drive
 or any other callable is called at every stage.  The code depends on the
 model's structure and the drive kinds, not on their parameters, and is
-compiled once per process.
+compiled once per process.  It holds only the arithmetic the structure
+needs, by identities that change no bit: no angle term and no stage
+update of theta for an angle-free model, phi_d itself where phi_M = 0, no
+stage time where nothing reads it (:func:`_functions` lists them all).
+
+A model keeps the generated run of its latest few drives: a repeat
+simulation of the same model object with equal drives, omega_s, dt and
+integrator reuses the functions instead of writing them again, and each
+run still counts its own box excursions.  This rests on a model not
+changing once built, which its compiled kernels already assume.
 
 Energy bookkeeping: along an exact trajectory
 
@@ -37,9 +46,12 @@ from __future__ import annotations
 
 import bisect
 import math
+import re
+import threading
 import types
 import warnings
-from dataclasses import dataclass
+from array import array
+from dataclasses import dataclass, fields
 from typing import Callable, Sequence, Tuple
 
 import numpy as np
@@ -47,6 +59,7 @@ import numpy as np
 from .energy import (
     _FLUX_NAMES,
     _TORQUE,
+    _TORQUE_CROSS,
     EnergyModel,
     MachineState,
     SaturationRangeWarning,
@@ -55,7 +68,7 @@ from .energy import (
     _generated,
     _require_finite,
 )
-from .induction import ImParams, im_energy
+from .induction import ImParams, _model
 
 __all__ = [
     "SimConfig",
@@ -178,6 +191,16 @@ class SinusoidVoltage:
         ]
 
 
+def _as_float_tuples(table) -> None:
+    """Make every field of a table drive a tuple of floats, then check them finite.
+
+    The drive then holds no caller's list: it stays as validated, and it hashes.
+    """
+    for f in fields(table):
+        object.__setattr__(table, f.name, tuple(float(v) for v in getattr(table, f.name)))
+    _require_finite(table)
+
+
 @dataclass(frozen=True)
 class TableVoltage:
     """Piecewise-constant voltage; value k holds from times[k] to times[k+1]."""
@@ -187,7 +210,7 @@ class TableVoltage:
     u_q: Tuple[float, ...]
 
     def __post_init__(self):
-        _require_finite(self)
+        _as_float_tuples(self)
         t = np.asarray(self.times, dtype=float)
         if t.size == 0 or np.any(np.diff(t) <= 0.0):
             raise ValueError("times must be non-empty and strictly increasing")
@@ -232,7 +255,7 @@ class TableLoad:
     torque: Tuple[float, ...]
 
     def __post_init__(self):
-        _require_finite(self)
+        _as_float_tuples(self)
         t = np.asarray(self.times, dtype=float)
         if t.size == 0 or np.any(np.diff(t) <= 0.0):
             raise ValueError("times must be non-empty and strictly increasing")
@@ -249,6 +272,9 @@ class Drive:
 
     voltage: Callable[[float], Tuple[float, float]] = ConstantVoltage()
     load: Callable[[float, float], float] = ConstantLoad()
+
+
+_BUILT_IN_DRIVES = (ConstantVoltage, SinusoidVoltage, TableVoltage, ConstantLoad, LinearLoad, TableLoad)
 
 
 def _callee(fn):
@@ -359,26 +385,46 @@ def _resistances(model: EnergyModel) -> Tuple[float, float]:
     return R_s, R_r
 
 
+def _reads(lines, name: str) -> bool:
+    """Whether any of the source ``lines`` mentions the variable ``name``."""
+    word = re.compile(rf"\b{name}\b")
+    return any(word.search(line) for line in lines)
+
+
 def _functions(model: EnergyModel, voltage, load, omega_s, dt, method: str, outside) -> dict:
     """The generated ``step``, ``record`` and ``run`` of one model, drive and integrator.
 
     The state is theta, rho and the flux components, as Python floats.
     ``step(t, state) -> state`` advances a state list by one rk4 or Euler
     step of ``dt``; ``record(t, state) -> row`` builds the record row at a
-    state.  ``run(state, ks, n, stride) -> (rows, k1)`` is a whole run of
+    state; both report box excursions to ``outside``.
+    ``run(state, ks, n, stride, outside) -> (rows, k1)`` is a whole run of
     ``n`` steps, numbered ``(k, k + 1)`` by ``ks``, with the state in local
     floats and the rows of the start, of every ``stride``-th step and of
-    the last one built inline.  It stops after the first step with a
-    component ``v - v != 0.0`` (not finite) and returns that step's ``k1``,
-    else ``None``.
+    the last one built inline; it reports excursions to its own
+    ``outside``.  It stops after the first step with a component
+    ``v - v != 0.0`` (not finite) and returns that step's ``k1``, else
+    ``None``.
 
     All three are straight-line code written from the same stage lines:
     the model's ``_stage_source``, the torque, the drive (:func:`_drive_source`)
     and the state equations, with the operations and their order of a loop
-    over stages.  A written-out voltage is pure, so the two rk4 stages at
-    ``t + h`` share one evaluation of it.  The stator pair's frame turns at
-    omega for single-winding machines and at omega_s for the induction
-    machine; the rotor pair's frame turns at the slip speed omega_s - omega.
+    over stages.  The stator pair's frame turns at omega for single-winding
+    machines and at omega_s for the induction machine; the rotor pair's
+    frame turns at the slip speed omega_s - omega.  Only the arithmetic the
+    model's structure needs is written, and each identity it rests on is
+    exact, so every value is the stage loop's, bit for bit:
+
+    * a written-out voltage is pure, so the two rk4 stages at ``t + h``
+      share one evaluation of it;
+    * n_p is bound as a float (the int to float conversion is exact);
+    * the torque leaves out its angle part for a model whose stage lines
+      leave out ``h_theta``, which is then 0.0 (see ``energy._TORQUE``);
+    * a stage updates only the state components that a stage reads (theta
+      of an angle-free model is updated once per step), and the stage time
+      ``ts`` is set only when a stage reads it (a box or a drive of time);
+    * the slip speed is taken once per stage, and -R_r is bound as a name.
+
     Parameters are names bound in the functions' namespace, so the source
     depends only on the model's structure, the drive kinds and the
     integrator, and it is compiled once per process
@@ -386,9 +432,9 @@ def _functions(model: EnergyModel, voltage, load, omega_s, dt, method: str, outs
     """
     R_s, R_r = _resistances(model)
     env = {
-        "n_p": model.pole_pairs,
+        "n_p": float(model.pole_pairs),
         "R_s": R_s,
-        "R_r": R_r,
+        "nR_r": -R_r,
         "omega_s": omega_s,
         "dt": dt,
         "h": 0.5 * dt,
@@ -396,7 +442,8 @@ def _functions(model: EnergyModel, voltage, load, omega_s, dt, method: str, outs
         "outside": outside,
     }
     state = ("theta", "rho", *_FLUX_NAMES[: model.flux_dim])
-    evaluation = [*model._stage_source(env), f"te = {_TORQUE}"]
+    evaluation = model._stage_source(env)
+    evaluation = [*evaluation, f"te = {_TORQUE if _reads(evaluation, 'h_theta') else _TORQUE_CROSS}"]
     voltage_lines, pure = _drive_source(voltage, env, "voltage", "u_d, u_q = voltage(ts)")
     load_lines, _ = _drive_source(load, env, "load", "t_load = load(ts, omega)")
     stage = [*evaluation, *voltage_lines, *load_lines]
@@ -406,9 +453,12 @@ def _functions(model: EnergyModel, voltage, load, omega_s, dt, method: str, outs
         "(te - t_load) / n_p",
         f"u_d - R_s * i_d + {w_s} * phi_q",
         f"u_q - R_s * i_q - {w_s} * phi_d",
-        "-R_r * i_rd + (omega_s - omega) * phi_rq",
-        "-R_r * i_rq - (omega_s - omega) * phi_rd",
+        "nR_r * i_rd + slip * phi_rq",
+        "nR_r * i_rq - slip * phi_rd",
     ][: len(state)]
+    slip = ["slip = omega_s - omega"] if model.flux_dim == 4 else []
+    moved = [v for v in state if _reads([*stage, *slopes], v)]
+    clock = _reads(stage, "ts")
     # (stage time, step from the start of the step to the stage state); a
     # stage time of None repeats the one before
     stages = [("t", None), ("t + h", "h"), (None, "h"), ("t + dt", "dt")]
@@ -420,12 +470,12 @@ def _functions(model: EnergyModel, voltage, load, omega_s, dt, method: str, outs
     advance = []
     for k, (ts, scale) in enumerate(stages):
         if scale:
-            advance += [f"{v} = {v}0 + {scale} * k{k - 1}_{j}" for j, v in enumerate(state)]
+            advance += [f"{v} = {v}0 + {scale} * k{k - 1}_{j}" for j, v in enumerate(state) if v in moved]
         if ts:
-            advance += [f"ts = {ts}", *stage]
+            advance += [*([f"ts = {ts}"] if clock else []), *stage]
         else:
             advance += [*evaluation, *([] if pure else voltage_lines), *load_lines]
-        advance += [f"k{k}_{j} = {e}" for j, e in enumerate(slopes)]
+        advance += [*slip, *(f"k{k}_{j} = {e}" for j, e in enumerate(slopes))]
     # the new state is also the start of the next step
     advance += [f"{v}0 = {v} = {e}" for v, e in zip(state, new_state)]
     row = ["t", "theta", "rho", "omega", "phi_d", "phi_q", "i_d", "i_q", "u_d", "u_q", "te", "t_load"]
@@ -435,21 +485,22 @@ def _functions(model: EnergyModel, voltage, load, omega_s, dt, method: str, outs
     unpack = f"{', '.join(state)} = state"
     start = f"{', '.join(v + '0' for v in state)} = state"
     finite = " or ".join(f"{v} - {v} != 0.0" for v in state)
+    now = "t = ts" if clock else "t"
     functions = {
         "step(t, state)": [unpack, start, *advance, f"return [{', '.join(state)}]"],
-        "record(t, state)": [unpack, "ts = t", *stage, f"return {row}"],
-        "run(state, ks, n, stride)": [
+        "record(t, state)": [unpack, *(["ts = t"] if clock else []), *stage, f"return {row}"],
+        "run(state, ks, n, stride, outside)": [
             unpack,
             start,
-            "t = ts = 0.0",
+            f"{now} = 0.0",
             *stage,
             f"rows = [{row}]",
             "for k, k1 in ks:",
-            *(f"    {line}" for line in ["t = k * dt", *advance]),
+            *(f"    {line}" for line in [*(["t = k * dt"] if clock else []), *advance]),
             f"    if {finite}:",
             "        return rows, k1",
             "    if not k1 % stride or k1 == n:",
-            *(f"        {line}" for line in ["t = ts = k1 * dt", *stage, f"rows.append({row})"]),
+            *(f"        {line}" for line in [f"{now} = k1 * dt", *stage, f"rows.append({row})"]),
             "return rows, None",
         ],
     }
@@ -463,6 +514,55 @@ def _program(model: EnergyModel, voltage, load, omega_s, dt, method: str, outsid
     """The generated ``step`` and ``record`` of :func:`_functions`."""
     functions = _functions(model, voltage, load, omega_s, dt, method, outside)
     return functions["step"], functions["record"]
+
+
+def _exact(value):
+    """``value`` as part of a program key, where equal keys bind bit-identical programs.
+
+    Float ``==`` equates 0.0 and -0.0, yet a program bound to one records
+    the other's sign.  So a float keys with its sign, a tuple of floats as
+    its bytes and a built-in drive as its type and fields; anything else
+    keys as itself, by its own ``==``.
+    """
+    if isinstance(value, float):
+        return value, math.copysign(1.0, value)
+    if isinstance(value, tuple):
+        return array("d", value).tobytes()
+    if isinstance(value, _BUILT_IN_DRIVES):
+        return type(value), *(_exact(getattr(value, f.name)) for f in fields(value))
+    return value
+
+
+# generated runs a model keeps (about 7 kB each): those of its latest
+# drives, steps and integrators, changed under one lock
+_KEPT_PROGRAMS = 8
+_KEEPING = threading.Lock()
+
+
+def _run(model: EnergyModel, voltage, load, omega_s, dt, method: str):
+    """The generated ``run`` of :func:`_functions`, kept by the model for repeat runs.
+
+    A model whose ``_programs`` is a dict keeps there the runs of its
+    latest few drives, ``omega_s``, ``dt`` and integrators; a repeat run
+    with equal ones (:func:`_exact`) takes the same function and so records
+    the same bits.  That needs a model that does not change once built, as
+    its compiled kernels already assume.  The programs go with the model
+    and never pickle.  A run with an unhashable drive is generated anew.
+    """
+    programs = model._programs
+    key = (_exact(voltage), _exact(load), _exact(omega_s), dt, method)
+    try:
+        run = None if programs is None else programs.get(key)
+    except TypeError:  # an unhashable drive
+        programs = run = None
+    if run is None:
+        run = _functions(model, voltage, load, omega_s, dt, method, None)["run"]
+        if programs is not None:
+            with _KEEPING:
+                if len(programs) >= _KEPT_PROGRAMS:
+                    del programs[next(iter(programs))]
+                programs[key] = run
+    return run
 
 
 def _state_vector(s: MachineState) -> list:
@@ -516,10 +616,10 @@ def simulate(m: EnergyModel, state0: MachineState, drive: Drive, cfg: SimConfig)
     """
     outside = _Excursions()
     drive_fns = _as_voltage_fn(drive.voltage), _as_load_fn(drive.load)
-    run = _functions(m, *drive_fns, cfg.omega_s, cfg.dt, cfg.integrator, outside)["run"]
+    run = _run(m, *drive_fns, cfg.omega_s, cfg.dt, cfg.integrator)
     n = _n_steps(cfg)
     try:
-        rows, failed = run(_state_vector(state0), zip(range(n), range(1, n + 1)), n, cfg.record_stride)
+        rows, failed = run(_state_vector(state0), zip(range(n), range(1, n + 1)), n, cfg.record_stride, outside)
     finally:
         outside.warn(stacklevel=2)
     if failed is not None:
@@ -554,7 +654,7 @@ def simulate_im(
     """
     if np.asarray(state0.phi).shape != (4,):
         raise ValueError("initial flux must stack stator and rotor pairs (4 components)")
-    return simulate(im_energy(p), state0, drive, cfg)
+    return simulate(_model(p), state0, drive, cfg)
 
 
 # ---------------------------------------------------------------------------

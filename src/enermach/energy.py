@@ -107,8 +107,10 @@ class EnergyModel(abc.ABC):
         components ``phi_d``, ``phi_q`` (``phi_rd``, ``phi_rq``) and the
         stage time ``ts``.  They set ``i_d``, ``i_q`` (``i_rd``, ``i_rq``),
         ``omega`` and ``h_theta`` to the values of :meth:`_step_gradient`,
-        bit for bit.  A fitted model reports each evaluation outside its
-        box by calling ``outside(ts, x, y, box)`` (see :class:`_Excursions`).
+        bit for bit; a model whose energy has no angle dependence may leave
+        ``h_theta`` out, and the simulator then drops the torque's angle
+        part.  A fitted model reports each evaluation outside its box by
+        calling ``outside(ts, x, y, box)`` (see :class:`_Excursions`).
         Values the lines use are bound in ``env`` (:func:`_bind`), never
         printed, so models of one structure share the source.  This default
         calls :meth:`_step_gradient`; the five shipped kinds, all
@@ -117,6 +119,10 @@ class EnergyModel(abc.ABC):
         currents = ", ".join(_CURRENT_NAMES[: self.flux_dim])
         phi = ", ".join(_FLUX_NAMES[: self.flux_dim])
         return [f"({currents},), omega, h_theta = {_bind(env, 'g', self._step_gradient)}(theta, rho, [{phi}])"]
+
+    # the simulator's generated programs of this model, by drive and
+    # integrator (see enermach.dynamics); None keeps none
+    _programs = None
 
 
 # names of the flux and current components in generated simulator code
@@ -303,19 +309,25 @@ def _kernel_lines(tables: Sequence[tuple], env: dict, outputs, zero: str, one_st
     names bound in ``env``; only exponents appear in the source.
     Without ``one_state`` only arithmetic operators touch the variables and
     theta, so Python floats and arrays run the same code; with it the lines
-    take Python floats only and call math.cos/sin themselves at a finite
-    angle, which is what :func:`_cos_sin` does for a float.
+    take Python floats only, call math.cos/sin themselves at a finite
+    angle, which is what :func:`_cos_sin` does for a float, and start a sum
+    from 0.0 at its leading constant.
     """
 
     def power(v, n):
         return v if n == 1 else f"{v.upper()}{n}"
 
-    def terms(coeffs):
-        out = ""
-        for e, c in coeffs.items():
-            powers = [power(v, n) for v, n in zip(variables, e) if n]
-            out += " + " + " * ".join([_bind(env, "c", c), *powers])
-        return out
+    def total(start, coeffs):
+        # the terms c * x**i * y**j ... summed left to right from ``start``; a
+        # one-state sum from 0.0 starts from a leading constant c instead, as
+        # 0.0 + c is c for the nonzero c a table keeps
+        terms = [
+            " * ".join([_bind(env, "c", c), *(power(v, n) for v, n in zip(variables, e) if n)])
+            for e, c in coeffs.items()
+        ]
+        if one_state and start == "0.0" and not any(next(iter(coeffs))):
+            start = terms.pop(0)
+        return " + ".join([start, *terms])
 
     exponents = [e for t in tables for _, a, b in t for e in (*a, *b)]
     lines = []
@@ -324,12 +336,12 @@ def _kernel_lines(tables: Sequence[tuple], env: dict, outputs, zero: str, one_st
             lines.append(f"{power(v, n)} = {power(v, n - 1)} * {v}")
     trig = {}
     for out, table in zip(outputs, tables):
-        total = zero
+        line = zero
         for w, a, b in table:
             if not w:
                 # a first angle-free row goes straight onto ``zero``: its own sum
                 # from 0.0 is never -0.0, so adding that to 0.0 changes no bit
-                total += terms(a) if total == zero else f" + (0.0{terms(a)})"
+                line = total(zero, a) if line == zero else f"{line} + ({total('0.0', a)})"
                 continue
             if w not in trig:
                 trig[w] = n = len(trig)
@@ -349,18 +361,18 @@ def _kernel_lines(tables: Sequence[tuple], env: dict, outputs, zero: str, one_st
             # an empty polynomial's product 0.0 * C or 0.0 * S is left out: it is a
             # zero, or a NaN the other product repeats, and no output sum from
             # +0.0 is ever -0.0, so no bit changes
-            products = [f"(0.0{terms(p)}) * {f}{trig[w]}" for p, f in ((a, "C"), (b, "S")) if p]
-            total += f" + ({' + '.join(products)})"
-        lines.append(f"{out} = {total}")
+            products = [f"({total('0.0', p)}) * {f}{trig[w]}" for p, f in ((a, "C"), (b, "S")) if p]
+            line += f" + ({' + '.join(products)})"
+        lines.append(f"{out} = {line}")
     return lines
 
 
 def _state_without_kernels(self) -> dict:
-    """``__getstate__`` of a class whose compiled ``*_kernel`` properties do not pickle.
+    """``__getstate__`` of a class whose compiled ``*_kernel`` properties and ``_programs`` do not pickle.
 
     They are compiled again on first use after unpickling.
     """
-    return {k: v for k, v in self.__dict__.items() if not k.endswith("_kernel")}
+    return {k: v for k, v in self.__dict__.items() if not k.endswith("_kernel") and k != "_programs"}
 
 
 def _compile(tables: Sequence[tuple], n_vars: int = 2):
@@ -468,6 +480,10 @@ class PolynomialEnergy(EnergyModel):
     def _gradient_kernel(self):
         return _compile((*self._h_flux, self._h_theta), self.flux_dim)
 
+    @cached_property
+    def _programs(self):
+        return {}
+
     __getstate__ = _state_without_kernels
 
     def _check_box(self, x, y):
@@ -514,16 +530,22 @@ class PolynomialEnergy(EnergyModel):
 
     def _stage_source(self, env):
         # the fused gradient kernel inline, with the box check counting
-        # excursions instead of warning at every stage
+        # excursions instead of warning at every stage.  phi_d - 0.0 is phi_d
+        # for every float, so at phi_M = +0.0 the kernel reads phi_d as x;
+        # x < -box is -x > box; an energy without angle rows leaves out its
+        # h_theta = 0.0
         dim = self.flux_dim
-        lines = [f"x = phi_d - {_bind(env, 'phi_M', self._phi_M)}"]
+        if self._phi_M == 0.0 and math.copysign(1.0, self._phi_M) > 0.0:
+            x, lines = "phi_d", []
+        else:
+            x, lines = "x", [f"x = phi_d - {_bind(env, 'phi_M', self._phi_M)}"]
         if self._box is not None:
-            box = _bind(env, "box", self._box)
-            lines.append(f"if x > {box} or -x > {box} or phi_q > {box} or -phi_q > {box}:")
-            lines.append(f"    outside(ts, x, phi_q, {box})")
-        tables = (*self._h_flux, self._h_theta)
+            box, nbox = _bind(env, "box", self._box), _bind(env, "nbox", -self._box)
+            lines.append(f"if {x} > {box} or {x} < {nbox} or phi_q > {box} or phi_q < {nbox}:")
+            lines.append(f"    outside(ts, {x}, phi_q, {box})")
+        tables = (*self._h_flux, self._h_theta) if self._h_theta else self._h_flux
         outputs = (*_CURRENT_NAMES[:dim], "h_theta")
-        lines += _kernel_lines(tables, env, outputs, "0.0", one_state=True, variables=("x", *_FLUX_NAMES[1:dim]))
+        lines += _kernel_lines(tables, env, outputs, "0.0", one_state=True, variables=(x, *_FLUX_NAMES[1:dim]))
         lines.append(f"omega = {_bind(env, 'kappa', self._kappa)} * rho")
         return lines
 
@@ -578,9 +600,13 @@ def torque(m: EnergyModel, theta, rho, phi):
     return _torque(m.pole_pairs, h_theta, i[..., 0], i[..., 1], phi[..., 0], phi[..., 1])
 
 
-# the one torque expression, as source: torque() evaluates it through
-# _torque, and the simulator's generated step and record inline it
-_TORQUE = "-n_p * h_theta + n_p * (i_q * phi_d - i_d * phi_q)"
+# the one torque expression, as source, in its angle and cross parts:
+# torque() evaluates it through _torque, and the simulator's generated code
+# inlines it, without the angle part -n_p * 0.0 = -0.0 for a model that
+# leaves h_theta out (adding -0.0 changes no bit)
+_TORQUE_ANGLE = "-n_p * h_theta"
+_TORQUE_CROSS = "n_p * (i_q * phi_d - i_d * phi_q)"
+_TORQUE = f"{_TORQUE_ANGLE} + {_TORQUE_CROSS}"
 _torque = eval(f"lambda n_p, h_theta, i_d, i_q, phi_d, phi_q: {_TORQUE}")
 
 
@@ -618,13 +644,27 @@ def kinetic_coefficient(inertia: float, pole_pairs: int, convention: str = "mech
     raise ValueError(f"unknown kinetic convention {convention!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MachineState:
-    """Instantaneous state (theta, rho, phi) of a machine."""
+    """Instantaneous state (theta, rho, phi) of a machine.
+
+    ``phi`` is a read-only copy of the flux given.  States compare field by
+    field, the flux by value (:func:`numpy.array_equal`), and hash alike.
+    """
 
     theta: float
     rho: float
     phi: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "phi", np.asarray(self.phi, dtype=float).copy())
+        phi = np.array(self.phi, dtype=float)
+        phi.flags.writeable = False
+        object.__setattr__(self, "phi", phi)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.theta == other.theta and self.rho == other.rho and np.array_equal(self.phi, other.phi)
+
+    def __hash__(self):
+        return hash((self.theta, self.rho, self.phi.shape, *self.phi.flat))

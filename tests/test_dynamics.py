@@ -370,3 +370,38 @@ def test_trajectory_access_guards():
         Trajectory(("t", "x"), np.zeros((3, 5)))
     with pytest.raises(ValueError, match="at least 3"):
         power_balance(linear_energy(ipm_linear_params()), Trajectory((), np.zeros((2, 0))))
+
+
+@pytest.mark.parametrize("as_input", [list, np.array, tuple], ids=["list", "ndarray", "tuple"])
+def test_table_drives_hold_tuples_of_floats(as_input):
+    times, u_d, u_q, torque = [0.0, 1.0e-4], [1.0, 2.0], [3, 4], [0.1, 0.2]
+    tv = TableVoltage(as_input(times), as_input(u_d), as_input(u_q))
+    tl = TableLoad(as_input(times), as_input(torque))
+    for drive in (tv, tl):
+        for f in dataclasses.fields(drive):
+            value = getattr(drive, f.name)
+            assert type(value) is tuple and all(type(v) is float for v in value)
+    assert tv == TableVoltage((0.0, 1.0e-4), (1.0, 2.0), (3.0, 4.0))
+    assert hash(tv) == hash(TableVoltage((0.0, 1.0e-4), (1.0, 2.0), (3.0, 4.0)))
+    assert hash(tl) == hash(TableLoad((0.0, 1.0e-4), (0.1, 0.2)))
+
+
+def test_a_table_drive_does_not_follow_the_callers_list():
+    times = [0.0, 1.0]
+    v = TableVoltage(times, [1.0, 2.0], [0.0, 0.0])
+    times[1] = float("nan")
+    assert v.times == (0.0, 1.0)
+    assert v(1.5) == (2.0, 0.0)
+    with pytest.raises(TypeError):
+        v.times[1] = float("nan")
+
+
+def test_table_drives_from_lists_simulate_as_from_tuples():
+    m = linear_energy(ipm_linear_params())
+    s0 = MachineState(0.1, 0.0, [0.2, 0.0])
+    cfg = SimConfig(dt=1.0e-5, t_end=1.0e-3, record_stride=1)
+    times, u_d, u_q = [0.0, 3.0e-4, 6.0e-4], [0.0, 10.0, -5.0], [30.0, 20.0, 40.0]
+    lists = Drive(TableVoltage(times, u_d, u_q), TableLoad(np.array(times[:2]), [0.0, 0.3]))
+    tuples = Drive(TableVoltage(tuple(times), tuple(u_d), tuple(u_q)), TableLoad(tuple(times[:2]), (0.0, 0.3)))
+    got = simulate_pmsm(m, s0, lists, cfg).data.tobytes()
+    assert got == simulate_pmsm(linear_energy(ipm_linear_params()), s0, tuples, cfg).data.tobytes()

@@ -190,3 +190,29 @@ def test_machine_state_copies_flux():
     s = MachineState(0.0, 0.0, phi)
     phi[0] = 99.0
     assert s.phi[0] == 0.1
+
+
+def test_machine_states_compare_and_hash_by_value():
+    a = MachineState(0.0, 0.0, [0.1, 0.2])
+    b = MachineState(0.0, 0.0, np.array([0.1, 0.2]))
+    assert a == b and hash(a) == hash(b)
+    assert a != MachineState(0.0, 0.0, [0.1, 0.3])
+    assert a != MachineState(0.5, 0.0, [0.1, 0.2])
+    assert a != MachineState(0.0, 1.0, [0.1, 0.2])
+    assert a != MachineState(0.0, 0.0, [0.1, 0.2, 0.0, 0.0])
+    assert a != (0.0, 0.0, [0.1, 0.2])
+    # zeros of either sign are equal, so they hash alike
+    assert MachineState(-0.0, 0.0, [-0.0, 0.2]) == MachineState(0.0, -0.0, [0.0, 0.2])
+    assert hash(MachineState(-0.0, 0.0, [-0.0, 0.2])) == hash(MachineState(0.0, -0.0, [0.0, 0.2]))
+    seen = {a: "first"}
+    assert seen[b] == "first"
+    assert MachineState(0.0, 0.0, [0.1, 0.3]) not in seen
+
+
+def test_machine_state_flux_is_read_only():
+    phi = np.array([0.1, 0.2])
+    s = MachineState(0.0, 0.0, phi)
+    with pytest.raises(ValueError, match="read-only"):
+        s.phi[0] = 0.5
+    assert phi.flags.writeable  # the caller's array is copied, not frozen
+    assert MachineState(s.theta, s.rho, s.phi).phi is not s.phi

@@ -1,11 +1,14 @@
 """The generated simulator step against the stage-by-stage reference loop, its code cache,
 and the one-warning-per-run report of saturation-box excursions."""
 
+import dataclasses
 import io
 import math
 import os
+import pickle
 import subprocess
 import sys
+import threading
 import tokenize
 import warnings
 
@@ -352,3 +355,232 @@ def test_cli_run_outside_the_box_prints_one_warning(tmp_path):
     lines = run.stderr.splitlines()
     assert 1 <= len(lines) <= 2, lines[:6]
     assert "SaturationRangeWarning" in lines[0] and "evaluations outside" in lines[0]
+
+
+# ---------------------------------------------------------------------------
+# the lean generated step: only the arithmetic a model's structure needs, and
+# a model's run kept for repeat simulations
+
+
+def _linear_without_magnet():
+    return linear_energy(dataclasses.replace(ipm_linear_params(), phi_M=0.0))
+
+
+def _lean_case(name):
+    """(model, initial state, drive, dt) of the cases the identities of the lean step touch."""
+    if name == "negative_zero_flux":
+        m = MODELS["synrm"]()
+        return m, MachineState(0.0, 0.0, [-0.0, -0.0]), Drive(ConstantVoltage(-0.0, 0.0), ConstantLoad(-0.0)), 1.0e-5
+    if name == "negative_zero_induction":
+        m = MODELS["induction"]()
+        return m, MachineState(-0.0, -0.0, [-0.0, -0.0, -0.0, -0.0]), DRIVES["constant"], 1.0e-5
+    if name == "magnet_free_linear":
+        m = _linear_without_magnet()
+        return m, MachineState(0.3, 0.0, [-0.0, 0.02]), DRIVES["sinusoid"], 1.0e-5
+    if name == "outside_the_box":
+        m = MODELS["saturated"]()
+        return m, MachineState(0.1, 0.0, [2.5 * m.params.phi_M, -0.3 * m.params.phi_M]), DRIVES["sinusoid"], 1.0e-5
+    m = MODELS["saturated"]()  # goes non-finite mid-run
+    return m, MachineState(0.0, 0.0, [6.0 * m.params.phi_M, 0.0]), DRIVES["constant"], 1.0e-3
+
+
+LEAN_CASES = ["negative_zero_flux", "negative_zero_induction", "magnet_free_linear", "outside_the_box", "non_finite"]
+
+
+@pytest.mark.parametrize("integrator", ["rk4", "euler"])
+@pytest.mark.parametrize("case", LEAN_CASES)
+def test_lean_run_records_every_step_as_the_reference_loop(case, integrator):
+    m, state0, drive, dt = _lean_case(case)
+    cfg = SimConfig(dt=dt, t_end=100 * dt, integrator=integrator, record_stride=1, omega_s=-0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = _quietly(reference_simulate, m, state0, drive, cfg)
+        run = _functions(m, drive.voltage, drive.load, cfg.omega_s, dt, integrator, None)["run"]
+        state = [state0.theta, state0.rho, *state0.phi.tolist()]
+        rows, failed = run(state, zip(range(100), range(1, 101)), 100, 1, _Excursions())
+    if case == "non_finite":
+        assert 1 < failed < 100  # the reference's rows up to the step that failed
+        assert np.array(rows).tobytes() == want[:failed].tobytes()
+        assert not np.all(np.isfinite(want[failed]))
+        return
+    assert failed is None
+    assert np.array(rows).tobytes() == want.tobytes()
+    assert _quietly(simulate, m, state0, drive, cfg).data.tobytes() == want.tobytes()
+
+
+ANGLE_FREE = {**{k: MODELS[k] for k in ("linear", "synrm", "saturated", "induction")}, "magnet_free": _linear_without_magnet}
+
+
+def _stage_lines(run_source):
+    return [line.strip() for line in run_source.splitlines()]
+
+
+@pytest.mark.parametrize("kind", ANGLE_FREE)
+def test_angle_free_runs_neither_take_h_theta_nor_move_theta_in_a_stage(kind):
+    for integrator in ("rk4", "euler"):
+        run = _functions(ANGLE_FREE[kind](), DRIVES["sinusoid"].voltage, DRIVES["sinusoid"].load, 0.0, 1.0e-5, integrator, None)["run"]
+        lines = _stage_lines(_source_of(run)[_source_of(run).index("def run(") :])
+        assert not any("h_theta" in line for line in lines)
+        assert not any(line.startswith("theta = theta0 +") for line in lines)
+        assert sum(line.startswith("theta0 = theta = theta0 +") for line in lines) == 1
+    harmonic = _stage_lines(_run_source(MODELS["harmonic"](), DRIVES["sinusoid"]))
+    assert sum(line.startswith("theta = theta0 +") for line in harmonic) == 3
+    assert any(line.startswith("h_theta = ") for line in harmonic)
+
+
+@pytest.mark.parametrize("kind", ["synrm", "induction", "magnet_free"])
+def test_magnet_free_runs_read_phi_d_itself(kind):
+    source = _run_source({**MODELS, **ANGLE_FREE}[kind](), DRIVES["constant"])
+    assert "x = phi_d" not in source and "phi_M" not in source
+    assert "x = phi_d - phi_M" in _run_source(MODELS["linear"](), DRIVES["constant"])
+
+
+def test_the_stage_time_is_set_only_where_a_stage_reads_it():
+    constant = _run_source(MODELS["linear"](), DRIVES["constant"])
+    assert "ts" not in {tok for line in constant.splitlines() for tok in line.replace(",", " ").split()}
+    assert "t = k * dt" not in constant
+    for m, drive in ((MODELS["linear"](), DRIVES["sinusoid"]), (MODELS["saturated"](), DRIVES["constant"])):
+        timed = _run_source(m, drive)  # a drive of time, or a box that reports the time
+        assert "t = k * dt" in timed and "ts = t + dt" in timed
+
+
+def _counting_kernel_lines(monkeypatch):
+    calls = []
+    kernel_lines = energy._kernel_lines
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return kernel_lines(*args, **kwargs)
+
+    monkeypatch.setattr(energy, "_kernel_lines", counting)
+    return calls
+
+
+@pytest.mark.parametrize("kind", MODELS)
+def test_a_repeat_simulation_reuses_the_models_run(kind, monkeypatch):
+    m = MODELS[kind]()
+    cfg = SimConfig(dt=1.0e-5, t_end=5.0e-4, record_stride=7, omega_s=100.0)
+    drive = DRIVES["sinusoid"]
+    first = _quietly(simulate, m, _initial_state(m), drive, cfg)
+    calls = _counting_kernel_lines(monkeypatch)
+    again = _quietly(simulate, m, _initial_state(m), drive, cfg)
+    # equal drives built anew, and voltage and load given as numbers, hit as well
+    equal = Drive(SinusoidVoltage(amp_d=20.0, amp_q=40.0, freq_hz=50.0), LinearLoad(0.1, 1.0e-3))
+    twin = _quietly(simulate, m, _initial_state(m), equal, cfg)
+    assert calls == []
+    assert again.data.tobytes() == first.data.tobytes() == twin.data.tobytes()
+    # another step generates, and equals a fresh model's run
+    other = dataclasses.replace(cfg, dt=2.0e-5)
+    got = _quietly(simulate, m, _initial_state(m), drive, other)
+    assert len(calls) == 1
+    assert got.data.tobytes() == _quietly(simulate, MODELS[kind](), _initial_state(m), drive, other).data.tobytes()
+
+
+def test_equal_induction_parameters_share_one_model_and_its_run(monkeypatch):
+    drive = Drive(ConstantVoltage(10.0, 0.0), ConstantLoad(0.0))
+    cfg = SimConfig(dt=1.0e-5, t_end=2.0e-4, omega_s=100.0)
+    state0 = MachineState(0.0, 0.0, np.zeros(4))
+    first = simulate_im(im_params(), state0, drive, cfg)
+    calls = _counting_kernel_lines(monkeypatch)
+    assert simulate_im(im_params(), state0, drive, cfg).data.tobytes() == first.data.tobytes()
+    assert calls == []
+
+
+def test_reuse_tells_zeros_of_either_sign_apart():
+    # 0.0 == -0.0, yet the recorded voltage, load and frame angle keep the sign
+    m = MODELS["induction"]()
+    state0 = MachineState(0.0, 0.0, [0.0, 0.0, 0.0, 0.0])
+    for signs in ((0.0, 0.0, 0.0), (-0.0, -0.0, -0.0), (0.0, -0.0, 0.0), (-0.0, 0.0, -0.0)):
+        u, load, omega_s = signs
+        drive = Drive(ConstantVoltage(u, u), ConstantLoad(load))
+        table = Drive(TableVoltage((0.0,), (u,), (u,)), TableLoad((0.0,), (load,)))
+        cfg = SimConfig(dt=1.0e-5, t_end=5.0e-5, record_stride=1, omega_s=omega_s)
+        for d in (drive, table):
+            assert simulate(m, state0, d, cfg).data.tobytes() == simulate(MODELS["induction"](), state0, d, cfg).data.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["saturated", "harmonic"])
+def test_reused_runs_outside_the_box_each_warn_with_their_own_count(kind):
+    drive = Drive(ConstantVoltage(-30.0, 10.0), ConstantLoad(0.0))
+    cfg = SimConfig(dt=1.0e-5, t_end=2.0e-3, record_stride=10)
+    messages = []
+    m = MODELS[kind]()
+    for model in (MODELS[kind](), m, m):
+        state0 = MachineState(0.1, 0.0, [2.5 * model.params.phi_M, 0.0])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            simulate(model, state0, drive, cfg)
+        (warning,) = caught
+        messages.append(str(warning.message))
+    assert messages[0] == messages[1] == messages[2]
+    assert "evaluations outside" in messages[0]
+
+
+def test_a_model_pickles_after_it_ran_and_its_clone_runs_alike():
+    m = MODELS["saturated"]()
+    cfg = SimConfig(dt=1.0e-5, t_end=3.0e-4, record_stride=5)
+    first = _quietly(simulate, m, _initial_state(m), DRIVES["sinusoid"], cfg)
+    assert m._programs
+    clone = pickle.loads(pickle.dumps(m))
+    assert "_programs" not in vars(clone)
+    assert _quietly(simulate, clone, _initial_state(m), DRIVES["sinusoid"], cfg).data.tobytes() == first.data.tobytes()
+
+
+@dataclasses.dataclass
+class _MutableVoltage:
+    """A drive whose dataclass equality leaves it unhashable."""
+
+    amp: float
+
+    def __call__(self, t):
+        return (self.amp, 2.0 * self.amp)
+
+
+def test_an_unhashable_drive_runs_without_being_kept():
+    m = MODELS["linear"]()
+    cfg = SimConfig(dt=1.0e-5, t_end=3.0e-4, record_stride=1)
+    voltage = _MutableVoltage(10.0)
+    drive = Drive(voltage, ConstantLoad(0.1))
+    got = simulate(m, _initial_state(m), drive, cfg)
+    assert got.data.tobytes() == reference_simulate(m, _initial_state(m), drive, cfg).tobytes()
+    assert not m._programs
+    voltage.amp = 20.0  # the next run sees the change
+    assert simulate(m, _initial_state(m), drive, cfg).data.tobytes() == reference_simulate(m, _initial_state(m), drive, cfg).tobytes()
+
+
+def test_a_model_keeps_only_its_latest_runs():
+    m = MODELS["linear"]()
+    cfg = SimConfig(dt=1.0e-5, t_end=1.0e-4)
+    for amp in range(20):
+        simulate(m, _initial_state(m), Drive(ConstantVoltage(float(amp), 0.0), ConstantLoad(0.0)), cfg)
+    assert len(m._programs) == 8
+
+
+def test_threads_running_one_model_keep_its_runs_bounded_and_exact():
+    m = MODELS["saturated"]()
+    cfg = SimConfig(dt=1.0e-5, t_end=2.0e-4, record_stride=5)
+    drives = [Drive(ConstantVoltage(5.0 + k, 20.0), ConstantLoad(0.1)) for k in range(12)]
+    want = [_quietly(simulate, MODELS["saturated"](), _initial_state(m), d, cfg).data.tobytes() for d in drives]
+    errors = []
+
+    def work(offset):
+        try:
+            for j in range(36):
+                k = (offset + j) % len(drives)
+                got = simulate(m, _initial_state(m), drives[k], cfg).data.tobytes()
+                assert got == want[k]
+                assert len(m._programs) <= 8
+        except BaseException as e:  # reported below
+            errors.append(e)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1.0e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(3 * n,)) for n in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
