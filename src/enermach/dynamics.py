@@ -50,7 +50,6 @@ import re
 import threading
 import types
 import warnings
-from array import array
 from dataclasses import dataclass, fields
 from typing import Callable, Sequence, Tuple
 
@@ -385,10 +384,9 @@ def _resistances(model: EnergyModel) -> Tuple[float, float]:
     return R_s, R_r
 
 
-def _reads(lines, name: str) -> bool:
-    """Whether any of the source ``lines`` mentions the variable ``name``."""
-    word = re.compile(rf"\b{name}\b")
-    return any(word.search(line) for line in lines)
+def _names(lines) -> set:
+    """The names the source ``lines`` mention."""
+    return set(re.findall(r"\w+", "\n".join(lines)))
 
 
 def _functions(model: EnergyModel, voltage, load, omega_s, dt, method: str, outside) -> dict:
@@ -443,7 +441,7 @@ def _functions(model: EnergyModel, voltage, load, omega_s, dt, method: str, outs
     }
     state = ("theta", "rho", *_FLUX_NAMES[: model.flux_dim])
     evaluation = model._stage_source(env)
-    evaluation = [*evaluation, f"te = {_TORQUE if _reads(evaluation, 'h_theta') else _TORQUE_CROSS}"]
+    evaluation = [*evaluation, f"te = {_TORQUE if 'h_theta' in _names(evaluation) else _TORQUE_CROSS}"]
     voltage_lines, pure = _drive_source(voltage, env, "voltage", "u_d, u_q = voltage(ts)")
     load_lines, _ = _drive_source(load, env, "load", "t_load = load(ts, omega)")
     stage = [*evaluation, *voltage_lines, *load_lines]
@@ -457,8 +455,9 @@ def _functions(model: EnergyModel, voltage, load, omega_s, dt, method: str, outs
         "nR_r * i_rq - slip * phi_rd",
     ][: len(state)]
     slip = ["slip = omega_s - omega"] if model.flux_dim == 4 else []
-    moved = [v for v in state if _reads([*stage, *slopes], v)]
-    clock = _reads(stage, "ts")
+    read = _names([*stage, *slopes])
+    moved = [v for v in state if v in read]
+    clock = "ts" in read
     # (stage time, step from the start of the step to the stage state); a
     # stage time of None repeats the one before
     stages = [("t", None), ("t + h", "h"), (None, "h"), ("t + dt", "dt")]
@@ -520,14 +519,14 @@ def _exact(value):
     """``value`` as part of a program key, where equal keys bind bit-identical programs.
 
     Float ``==`` equates 0.0 and -0.0, yet a program bound to one records
-    the other's sign.  So a float keys with its sign, a tuple of floats as
-    its bytes and a built-in drive as its type and fields; anything else
-    keys as itself, by its own ``==``.
+    the other's sign.  So a float keys with its sign, a tuple entry by
+    entry and a built-in drive as its type and fields; anything else keys
+    as itself, by its own ``==``.
     """
     if isinstance(value, float):
         return value, math.copysign(1.0, value)
     if isinstance(value, tuple):
-        return array("d", value).tobytes()
+        return tuple(map(_exact, value))
     if isinstance(value, _BUILT_IN_DRIVES):
         return type(value), *(_exact(getattr(value, f.name)) for f in fields(value))
     return value
