@@ -518,10 +518,10 @@ def _program(model: EnergyModel, voltage, load, omega_s, dt, method: str, outsid
 def _exact(value):
     """``value`` as part of a program key, where equal keys bind bit-identical programs.
 
-    Float ``==`` equates 0.0 and -0.0, yet a program bound to one records
-    the other's sign.  So a float keys with its sign, a tuple entry by
-    entry and a built-in drive as its type and fields; anything else keys
-    as itself, by its own ``==``.
+    Float ``==`` equates 0.0 and -0.0, yet programs bound to the two
+    record zeros of different signs.  So a float keys with its sign, a
+    tuple entry by entry and a built-in drive as its type and fields;
+    anything else keys as itself, by its own ``==``.
     """
     if isinstance(value, float):
         return value, math.copysign(1.0, value)
