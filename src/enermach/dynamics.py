@@ -26,10 +26,10 @@ needs, by identities that change no bit: no angle term and no stage
 update of theta for an angle-free model, phi_d itself where phi_M = 0, no
 stage time where nothing reads it (:func:`_functions` lists them all).
 
-A model keeps the generated run of its latest few drives: a repeat
-simulation of the same model object with equal drives, omega_s, dt and
-integrator reuses the functions instead of writing them again, and each
-run still counts its own box excursions.  This rests on a model not
+Every value is bound afresh for each run, so a model can keep the
+compiled code of its drive kinds and integrators with its coefficients: a
+repeat simulation or step of the same model object, with any drive
+parameters, omega_s and dt, writes no source.  This rests on a model not
 changing once built, which its compiled kernels already assume.
 
 Energy bookkeeping: along an exact trajectory
@@ -47,7 +47,6 @@ from __future__ import annotations
 import bisect
 import math
 import re
-import threading
 import types
 import warnings
 from dataclasses import dataclass, fields
@@ -64,7 +63,8 @@ from .energy import (
     SaturationRangeWarning,
     _Excursions,
     _bind,
-    _generated,
+    _factory,
+    _made,
     _require_finite,
 )
 from .induction import ImParams, _model
@@ -273,9 +273,6 @@ class Drive:
     load: Callable[[float, float], float] = ConstantLoad()
 
 
-_BUILT_IN_DRIVES = (ConstantVoltage, SinusoidVoltage, TableVoltage, ConstantLoad, LinearLoad, TableLoad)
-
-
 def _callee(fn):
     """``fn``, or its bound ``__call__`` when that is a Python method.
 
@@ -384,49 +381,29 @@ def _resistances(model: EnergyModel) -> Tuple[float, float]:
     return R_s, R_r
 
 
-def _names(lines) -> set:
-    """The names the source ``lines`` mention."""
-    return set(re.findall(r"\w+", "\n".join(lines)))
-
-
 def _functions(model: EnergyModel, voltage, load, omega_s, dt, method: str, outside) -> dict:
     """The generated ``step``, ``record`` and ``run`` of one model, drive and integrator.
 
     The state is theta, rho and the flux components, as Python floats.
     ``step(t, state) -> state`` advances a state list by one rk4 or Euler
     step of ``dt``; ``record(t, state) -> row`` builds the record row at a
-    state; both report box excursions to ``outside``.
-    ``run(state, ks, n, stride, outside) -> (rows, k1)`` is a whole run of
+    state.  ``run(state, ks, n, stride) -> (rows, k1)`` is a whole run of
     ``n`` steps, numbered ``(k, k + 1)`` by ``ks``, with the state in local
     floats and the rows of the start, of every ``stride``-th step and of
-    the last one built inline; it reports excursions to its own
-    ``outside``.  It stops after the first step with a component
-    ``v - v != 0.0`` (not finite) and returns that step's ``k1``, else
-    ``None``.
+    the last one built inline.  It stops after the first step with a
+    component ``v - v != 0.0`` (not finite) and returns that step's ``k1``,
+    else ``None``.  All three report box excursions to ``outside``.
 
-    All three are straight-line code written from the same stage lines:
-    the model's ``_stage_source``, the torque, the drive (:func:`_drive_source`)
-    and the state equations, with the operations and their order of a loop
-    over stages.  The stator pair's frame turns at omega for single-winding
-    machines and at omega_s for the induction machine; the rotor pair's
-    frame turns at the slip speed omega_s - omega.  Only the arithmetic the
-    model's structure needs is written, and each identity it rests on is
-    exact, so every value is the stage loop's, bit for bit:
-
-    * a written-out voltage is pure, so the two rk4 stages at ``t + h``
-      share one evaluation of it;
-    * n_p is bound as a float (the int to float conversion is exact);
-    * the torque leaves out its angle part for a model whose stage lines
-      leave out ``h_theta``, which is then 0.0 (see ``energy._TORQUE``);
-    * a stage updates only the state components that a stage reads (theta
-      of an angle-free model is updated once per step), and the stage time
-      ``ts`` is set only when a stage reads it (a box or a drive of time);
-    * the slip speed is taken once per stage, and -R_r is bound as a name.
-
-    Parameters are names bound in the functions' namespace, so the source
-    depends only on the model's structure, the drive kinds and the
-    integrator, and it is compiled once per process
-    (:func:`enermach.energy._generated`).
+    Every value the functions use is a name bound afresh for each call:
+    the resistances, ``omega_s``, ``dt``, ``outside``, the drive's
+    parameters (:func:`_drive_source`) and the model's coefficients.  The
+    code depends only on the model's structure, the drive kinds and the
+    integrator, so it is written and compiled once per process for each
+    (:func:`_source`, :func:`enermach.energy._factory`).  A model whose
+    ``_programs`` is a dict keeps there its code and coefficients by drive
+    kinds and integrator, so a repeat call writes no source; that rests on
+    a model not changing once built, as its compiled kernels already
+    assume.
     """
     R_s, R_r = _resistances(model)
     env = {
@@ -439,11 +416,52 @@ def _functions(model: EnergyModel, voltage, load, omega_s, dt, method: str, outs
         "h6": dt / 6.0,
         "outside": outside,
     }
+    voltage_lines, pure = _drive_source(voltage, env, "voltage", "u_d, u_q = voltage(ts)")
+    load_lines, _ = _drive_source(load, env, "load", "t_load = load(ts, omega)")
+    kept = model._programs
+    key = (tuple(voltage_lines), tuple(load_lines), method)
+    program = None if kept is None else kept.get(key)
+    if program is None:
+        program = _source(model, dict(env), voltage_lines, pure, load_lines, method)
+        if kept is not None:
+            kept[key] = program
+    code, coefficients = program
+    return _made(code, {**env, **coefficients})
+
+
+def _names(lines) -> set:
+    """The names the source ``lines`` mention."""
+    return set(re.findall(r"\w+", "\n".join(lines)))
+
+
+def _source(model: EnergyModel, env: dict, voltage_lines, pure: bool, load_lines, method: str):
+    """The compiled factory of :func:`_functions` and the model's coefficients it takes.
+
+    ``env`` holds the names :func:`_functions` binds for every call; the
+    model's ``_stage_source`` binds its coefficients there too, and they
+    are returned by name.  The functions are straight-line code written
+    from the same stage lines: the model's evaluation, the torque, the
+    drive and the state equations, with the operations and their order of
+    a loop over stages.  The stator pair's frame turns at omega for
+    single-winding machines and at omega_s for the induction machine; the
+    rotor pair's frame turns at the slip speed omega_s - omega.  Only the
+    arithmetic the model's structure needs is written, and each identity
+    it rests on is exact, so every value is the stage loop's, bit for bit:
+
+    * a written-out voltage is pure, so the two rk4 stages at ``t + h``
+      share one evaluation of it;
+    * n_p is bound as a float (the int to float conversion is exact);
+    * the torque leaves out its angle part for a model whose stage lines
+      leave out ``h_theta``, which is then 0.0 (see ``energy._TORQUE``);
+    * a stage updates only the state components that a stage reads (theta
+      of an angle-free model is updated once per step), and the stage time
+      ``ts`` is set only when a stage reads it (a box or a drive of time);
+    * the slip speed is taken once per stage, and -R_r is bound as a name.
+    """
+    given = set(env)
     state = ("theta", "rho", *_FLUX_NAMES[: model.flux_dim])
     evaluation = model._stage_source(env)
     evaluation = [*evaluation, f"te = {_TORQUE if 'h_theta' in _names(evaluation) else _TORQUE_CROSS}"]
-    voltage_lines, pure = _drive_source(voltage, env, "voltage", "u_d, u_q = voltage(ts)")
-    load_lines, _ = _drive_source(load, env, "load", "t_load = load(ts, omega)")
     stage = [*evaluation, *voltage_lines, *load_lines]
     w_s = "omega_s" if model.flux_dim == 4 else "omega"
     slopes = [
@@ -488,7 +506,7 @@ def _functions(model: EnergyModel, voltage, load, omega_s, dt, method: str, outs
     functions = {
         "step(t, state)": [unpack, start, *advance, f"return [{', '.join(state)}]"],
         "record(t, state)": [unpack, *(["ts = t"] if clock else []), *stage, f"return {row}"],
-        "run(state, ks, n, stride, outside)": [
+        "run(state, ks, n, stride)": [
             unpack,
             start,
             f"{now} = 0.0",
@@ -506,62 +524,13 @@ def _functions(model: EnergyModel, voltage, load, omega_s, dt, method: str, outs
     source = "".join(
         f"def {signature}:\n" + "".join(f"    {line}\n" for line in lines) for signature, lines in functions.items()
     )
-    return _generated(source, env)
+    return _factory(source, env), {name: v for name, v in env.items() if name not in given}
 
 
 def _program(model: EnergyModel, voltage, load, omega_s, dt, method: str, outside):
     """The generated ``step`` and ``record`` of :func:`_functions`."""
     functions = _functions(model, voltage, load, omega_s, dt, method, outside)
     return functions["step"], functions["record"]
-
-
-def _exact(value):
-    """``value`` as part of a program key, where equal keys bind bit-identical programs.
-
-    Float ``==`` equates 0.0 and -0.0, yet programs bound to the two
-    record zeros of different signs.  So a float keys with its sign, a
-    tuple entry by entry and a built-in drive as its type and fields;
-    anything else keys as itself, by its own ``==``.
-    """
-    if isinstance(value, float):
-        return value, math.copysign(1.0, value)
-    if isinstance(value, tuple):
-        return tuple(map(_exact, value))
-    if isinstance(value, _BUILT_IN_DRIVES):
-        return type(value), *(_exact(getattr(value, f.name)) for f in fields(value))
-    return value
-
-
-# generated runs a model keeps (about 7 kB each): those of its latest
-# drives, steps and integrators, changed under one lock
-_KEPT_PROGRAMS = 8
-_KEEPING = threading.Lock()
-
-
-def _run(model: EnergyModel, voltage, load, omega_s, dt, method: str):
-    """The generated ``run`` of :func:`_functions`, kept by the model for repeat runs.
-
-    A model whose ``_programs`` is a dict keeps there the runs of its
-    latest few drives, ``omega_s``, ``dt`` and integrators; a repeat run
-    with equal ones (:func:`_exact`) takes the same function and so records
-    the same bits.  That needs a model that does not change once built, as
-    its compiled kernels already assume.  The programs go with the model
-    and never pickle.  A run with an unhashable drive is generated anew.
-    """
-    programs = model._programs
-    key = (_exact(voltage), _exact(load), _exact(omega_s), dt, method)
-    try:
-        run = None if programs is None else programs.get(key)
-    except TypeError:  # an unhashable drive
-        programs = run = None
-    if run is None:
-        run = _functions(model, voltage, load, omega_s, dt, method, None)["run"]
-        if programs is not None:
-            with _KEEPING:
-                if len(programs) >= _KEPT_PROGRAMS:
-                    del programs[next(iter(programs))]
-                programs[key] = run
-    return run
 
 
 def _state_vector(s: MachineState) -> list:
@@ -615,10 +584,10 @@ def simulate(m: EnergyModel, state0: MachineState, drive: Drive, cfg: SimConfig)
     """
     outside = _Excursions()
     drive_fns = _as_voltage_fn(drive.voltage), _as_load_fn(drive.load)
-    run = _run(m, *drive_fns, cfg.omega_s, cfg.dt, cfg.integrator)
+    run = _functions(m, *drive_fns, cfg.omega_s, cfg.dt, cfg.integrator, outside)["run"]
     n = _n_steps(cfg)
     try:
-        rows, failed = run(_state_vector(state0), zip(range(n), range(1, n + 1)), n, cfg.record_stride, outside)
+        rows, failed = run(_state_vector(state0), zip(range(n), range(1, n + 1)), n, cfg.record_stride)
     finally:
         outside.warn(stacklevel=2)
     if failed is not None:

@@ -120,7 +120,7 @@ class EnergyModel(abc.ABC):
         phi = ", ".join(_FLUX_NAMES[: self.flux_dim])
         return [f"({currents},), omega, h_theta = {_bind(env, 'g', self._step_gradient)}(theta, rho, [{phi}])"]
 
-    # the simulator's generated programs of this model, by drive and
+    # the simulator's compiled programs of this model, by drive kinds and
     # integrator (see enermach.dynamics); None keeps none
     _programs = None
 
@@ -270,13 +270,18 @@ def _generated(source: str, env: dict) -> dict:
     """The functions ``source`` defines, by name, with the names in ``env`` bound.
 
     The source is wrapped in a factory whose parameters are the names in
-    ``env``, and compiled once per process for each distinct text.  The
-    functions read those names from closure cells, not from their globals:
-    code shared by functions with different globals would keep losing its
-    specialised global lookups.  ``env`` is kept as their ``__globals__``
-    for inspection.
+    ``env`` (:func:`_factory`), and the factory is called with ``env``
+    (:func:`_made`).
     """
-    factory = f"def factory({', '.join(env)}):\n" + "".join(
+    return _made(_factory(source, env), env)
+
+
+def _factory(source: str, names) -> types.CodeType:
+    """The code of a factory that takes ``names`` and returns the functions ``source`` defines.
+
+    It is compiled once per process for each distinct text.
+    """
+    factory = f"def factory({', '.join(names)}):\n" + "".join(
         f"    {line}\n" for line in source.splitlines()
     ) + "    return locals()\n"
     code = _CODES.get(factory)
@@ -284,6 +289,17 @@ def _generated(source: str, env: dict) -> dict:
         namespace: dict = {}
         exec(compile(factory, "<enermach generated>", "exec"), namespace)
         code = _CODES[factory] = namespace["factory"].__code__
+    return code
+
+
+def _made(code: types.CodeType, env: dict) -> dict:
+    """The functions the factory ``code`` makes from the values in ``env``, by name.
+
+    The functions read those values from closure cells, not from their
+    globals: code shared by functions with different globals would keep
+    losing its specialised global lookups.  ``env`` is kept as their
+    ``__globals__`` for inspection.
+    """
     made = types.FunctionType(code, env)(**env)
     return {name: f for name, f in made.items() if name not in env}
 

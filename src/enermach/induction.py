@@ -24,6 +24,7 @@ Each current is the table's sum of two monomials, e.g. i_sd =
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Tuple
@@ -110,9 +111,18 @@ class ImFlux:
         return ImFlux(v[..., 0:2], v[..., 2:4])
 
 
-@lru_cache(maxsize=8)
 def _model(p: ImParams) -> "ImEnergy":
-    """The model of ``p`` the one-call front ends share, so its kernels compile once."""
+    """The model of ``p`` the front ends and ``simulate_im`` share, so its code compiles once.
+
+    Parameter sets share a model when they are equal with every zero of
+    the same sign: 0.0 == -0.0, yet a run with R_s = -0.0 may record zeros
+    of other signs than one with R_s = 0.0.
+    """
+    return _models(p, tuple(math.copysign(1.0, v) for v in vars(p).values()))
+
+
+@lru_cache(maxsize=8)
+def _models(p: ImParams, signs: tuple) -> "ImEnergy":
     return ImEnergy(p)
 
 
