@@ -394,16 +394,16 @@ def _functions(model: EnergyModel, voltage, load, omega_s, dt, method: str, outs
     component ``v - v != 0.0`` (not finite) and returns that step's ``k1``,
     else ``None``.  All three report box excursions to ``outside``.
 
-    Every value the functions use is a name bound afresh for each call:
-    the resistances, ``omega_s``, ``dt``, ``outside``, the drive's
-    parameters (:func:`_drive_source`) and the model's coefficients.  The
-    code depends only on the model's structure, the drive kinds and the
-    integrator, so it is written and compiled once per process for each
-    (:func:`_source`, :func:`enermach.energy._factory`).  A model whose
-    ``_programs`` is a dict keeps there its code and coefficients by drive
-    kinds and integrator, so a repeat call writes no source; that rests on
-    a model not changing once built, as its compiled kernels already
-    assume.
+    Every value the functions use is a name bound in their namespace,
+    never printed: the resistances, ``omega_s``, ``dt``, ``outside`` and
+    the drive's parameters (:func:`_drive_source`) for each call, the
+    model's coefficients when its code is written.  The code depends only
+    on the model's structure, the drive kinds and the integrator, and it
+    is compiled once per process for each (:func:`_compile_functions`).
+    A model whose ``_programs`` is a dict keeps there its code and
+    coefficients by drive kinds and integrator, so a repeat call writes no
+    source; that rests on a model not changing once built, as its compiled
+    kernels already assume.
     """
     R_s, R_r = _resistances(model)
     env = {
@@ -422,7 +422,7 @@ def _functions(model: EnergyModel, voltage, load, omega_s, dt, method: str, outs
     key = (tuple(voltage_lines), tuple(load_lines), method)
     program = None if kept is None else kept.get(key)
     if program is None:
-        program = _source(model, dict(env), voltage_lines, pure, load_lines, method)
+        program = _compile_functions(model, dict(env), voltage_lines, pure, load_lines, method)
         if kept is not None:
             kept[key] = program
     code, coefficients = program
@@ -434,7 +434,7 @@ def _names(lines) -> set:
     return set(re.findall(r"\w+", "\n".join(lines)))
 
 
-def _source(model: EnergyModel, env: dict, voltage_lines, pure: bool, load_lines, method: str):
+def _compile_functions(model: EnergyModel, env: dict, voltage_lines, pure: bool, load_lines, method: str):
     """The compiled factory of :func:`_functions` and the model's coefficients it takes.
 
     ``env`` holds the names :func:`_functions` binds for every call; the
