@@ -24,13 +24,15 @@ model's structure and the drive kinds, not on their parameters, and is
 compiled once per process.  It holds only the arithmetic the structure
 needs, by identities that change no bit: no angle term and no stage
 update of theta for an angle-free model, phi_d itself where phi_M = 0, no
-stage time where nothing reads it (:func:`_functions` lists them all).
+stage time where nothing reads it (:func:`_compile_functions` lists them
+all).
 
-Every value is bound afresh for each run, so a model can keep the
-compiled code of its drive kinds and integrators with its coefficients: a
-repeat simulation or step of the same model object, with any drive
-parameters, omega_s and dt, writes no source.  This rests on a model not
-changing once built, which its compiled kernels already assume.
+The drive's parameters, omega_s and dt are bound afresh for each run, so
+a model can keep the compiled code of its drive kinds and integrators
+together with its own coefficients: a repeat simulation or step of the
+same model object writes no source, whatever those values.  This rests
+on a model not changing once built, which its compiled kernels already
+assume.
 
 Energy bookkeeping: along an exact trajectory
 
