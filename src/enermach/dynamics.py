@@ -315,6 +315,8 @@ def _as_load_fn(load) -> Callable[[float, float], float]:
 # ---------------------------------------------------------------------------
 # trajectory record
 
+_CSV_ROWS = 256  # rows formatted per write by Trajectory.write_csv
+
 
 class Trajectory:
     """Column-oriented record of a simulation, CSV-faithful.
@@ -354,18 +356,22 @@ class Trajectory:
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as f:
             f.write(",".join(self.columns) + "\n")
-            row = ",".join(["{:.17g}"] * len(self.columns)) + "\n"
-            # one row at a time: a whole-array tolist() would hold every
-            # value as a Python float at once
-            for values in self.data:
-                f.write(row.format(*values.tolist()))
+            row = ",".join(["%.17g"] * len(self.columns)) + "\n"
+            # _CSV_ROWS rows per write: a whole-array tolist() would hold
+            # every value as a Python float at once
+            for lo in range(0, len(self.data), _CSV_ROWS):
+                block = self.data[lo : lo + _CSV_ROWS]
+                f.write((row * len(block)) % tuple(block.ravel().tolist()))
 
     @classmethod
     def read_csv(cls, path) -> "Trajectory":
         with open(path, "r", newline="") as f:
             header = f.readline().strip()
             columns = tuple(header.split(","))
-            data = np.loadtxt(f, delimiter=",", ndmin=2)
+            start = f.tell()
+            empty = not f.read(1)
+            f.seek(start)
+            data = np.empty((0, len(columns))) if empty else np.loadtxt(f, delimiter=",", ndmin=2)
         return cls(columns, data)
 
 
@@ -703,17 +709,16 @@ def power_balance(m: EnergyModel, traj: Trajectory) -> float:
         warnings.simplefilter("ignore", SaturationRangeWarning)
         H = np.asarray(m.evaluate(theta, rho, phi), dtype=float)
 
-    i_s = np.stack([traj.column("i_d"), traj.column("i_q")], axis=-1)
-    u = np.stack([traj.column("u_d"), traj.column("u_q")], axis=-1)
+    i_d, i_q, u_d, u_q = (traj.column(c) for c in ("i_d", "i_q", "u_d", "u_q"))
     omega = traj.column("omega")
     load = traj.column("load")
     R_s, R_r = _resistances(m)
 
-    p_in = np.sum(u * i_s, axis=-1)
-    p_diss = R_s * np.sum(i_s**2, axis=-1)
+    p_in = u_d * i_d + u_q * i_q
+    p_diss = R_s * (i_d * i_d + i_q * i_q)
     if m.flux_dim == 4:
-        i_r = np.stack([traj.column("i_rd"), traj.column("i_rq")], axis=-1)
-        p_diss = p_diss + R_r * np.sum(i_r**2, axis=-1)
+        i_rd, i_rq = traj.column("i_rd"), traj.column("i_rq")
+        p_diss = p_diss + R_r * (i_rd * i_rd + i_rq * i_rq)
     p_mech = load * omega / m.pole_pairs
 
     lhs = H - H[0]

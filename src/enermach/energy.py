@@ -266,16 +266,6 @@ def _cos_sin(w: float, theta):
 _CODES: dict = {}
 
 
-def _generated(source: str, env: dict) -> dict:
-    """The functions ``source`` defines, by name, with the names in ``env`` bound.
-
-    The source is wrapped in a factory whose parameters are the names in
-    ``env`` (:func:`_factory`), and the factory is called with ``env``
-    (:func:`_made`).
-    """
-    return _made(_factory(source, env), env)
-
-
 def _factory(source: str, names) -> types.CodeType:
     """The code of a factory that takes ``names`` and returns the functions ``source`` defines.
 
@@ -402,7 +392,7 @@ def _compile(tables: Sequence[tuple], n_vars: int = 2):
     lines.append(f"return ({', '.join(outputs)},)")
     variables = ", ".join(_VARIABLES[:n_vars])
     source = f"def kernel(theta, {variables}, zero):\n" + "".join(f"    {line}\n" for line in lines)
-    return _generated(source, env)["kernel"]
+    return _made(_factory(source, env), env)["kernel"]
 
 
 @dataclass(frozen=True)

@@ -98,12 +98,6 @@ class FluxPolynomial:
         gx, gy = self._grad_kernel(0.0, x, y, _zeros(x, y))
         return gx, gy
 
-    def even_in_y(self) -> bool:
-        return all(j % 2 == 0 for (_, j), c in self.coeffs.items() if c != 0.0)
-
-    def odd_in_y(self) -> bool:
-        return all(j % 2 == 1 for (_, j), c in self.coeffs.items() if c != 0.0)
-
 
 @dataclass(frozen=True)
 class HarmonicTerm:
