@@ -315,7 +315,7 @@ def _as_load_fn(load) -> Callable[[float, float], float]:
 # ---------------------------------------------------------------------------
 # trajectory record
 
-_CSV_ROWS = 256  # rows formatted per write by Trajectory.write_csv
+_CSV_ROWS = 64  # rows formatted per write by Trajectory.write_csv
 
 
 class Trajectory:

@@ -192,7 +192,8 @@ def check_reciprocity(
                 c = (i[0, ..., k] - i[1, ..., k]) / den
                 jac[:, k, blk] = (4.0 * c[0] - c[1]) / 3.0
 
-    # |J_jk - J_kj| is |J_kj - J_jk|; the diagonal keeps a non-finite J_jj as nan
+    # |J_jk - J_kj| is |J_kj - J_jk|; the diagonal keeps a non-finite J_jj as
+    # nan.  max |J| is max(max J, -min J), with no |J| array
     per_point, diff = np.zeros(n_samples), np.empty(n_samples)
     for j in range(dim):
         for k in range(j, dim):
