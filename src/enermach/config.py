@@ -1,18 +1,24 @@
 """Config file schema and builders for the command-line tools.
 
 Configs are YAML mappings, versioned by a required ``schema_version`` key.
+Every section is read by one table of its keys (see :func:`_read`).
 Validation is strict: unknown keys are rejected, every complaint carries
 the dotted path of the offending key, and model parameters are checked by
 constructing the real parameter objects (so the rules live in one place).
-All units are SI; publication-scaled saturation coefficients are accepted
-only behind an explicit ``scaled: true`` flag.
+A section reports the first fault it finds, in a fixed order: its keys in
+table order, then its unknown keys, then its constructor and value rules.
+An optional key given as null reads as its default; a required key given
+as null is rejected by name. All units are SI; publication-scaled
+saturation coefficients are accepted only behind an explicit
+``scaled: true`` flag.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import MISSING, fields
-from typing import Any, Dict, List, Optional, Tuple
+from functools import partial
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 import yaml
@@ -59,6 +65,11 @@ def _fail(path: str, message: str) -> "ConfigError":
     return ConfigError(f"{path}: {message}" if path else message)
 
 
+def _check(ok: bool, path: str, message: str) -> None:
+    if not ok:
+        raise _fail(path, message)
+
+
 def _as_mapping(value, path: str) -> Dict[str, Any]:
     if value is None:
         return {}
@@ -67,18 +78,12 @@ def _as_mapping(value, path: str) -> Dict[str, Any]:
     return dict(value)
 
 
-def _reject_unknown(d: Dict[str, Any], path: str) -> None:
-    if d:
-        keys = ", ".join(sorted(str(k) for k in d))
-        raise _fail(path, f"unknown key(s): {keys}")
+# ---------------------------------------------------------------------------
+# readers: each takes a value and its dotted path, and returns the value read
 
 
-def _take(d: Dict[str, Any], key: str, path: str, required: bool = False, default=None):
-    if key in d:
-        return d.pop(key)
-    if required:
-        raise _fail(f"{path}.{key}" if path else key, "required key is missing")
-    return default
+def _any(value, path: str):
+    return value
 
 
 def _number(value, path: str) -> float:
@@ -98,6 +103,12 @@ def _integer(value, path: str) -> int:
     return value
 
 
+def _float_integer(value, path: str) -> int:
+    """An integer that the models compute with as a float (n_p, k), so at most 2**53 in size."""
+    _check(abs(_integer(value, path)) <= 2**53, path, "expected an integer of magnitude at most 2**53")
+    return value
+
+
 def _boolean(value, path: str) -> bool:
     if not isinstance(value, bool):
         raise _fail(path, f"expected true/false, got {value!r}")
@@ -110,64 +121,58 @@ def _number_list(value, path: str) -> List[float]:
     return [_number(v, f"{path}[{k}]") for k, v in enumerate(value)]
 
 
-def _take_number(d, key, path, required=False, default=None) -> Optional[float]:
-    value = _take(d, key, path, required=required)
-    if value is None:
-        return default
-    return _number(value, f"{path}.{key}" if path else key)
+_REQUIRED = object()  # the default of a key that must be given
 
 
-def _take_integer(d, key, path, required=False, default=None) -> Optional[int]:
-    value = _take(d, key, path, required=required)
-    if value is None:
-        return default
-    return _integer(value, f"{path}.{key}" if path else key)
+def _read(section, path: str, keys: Dict[str, Tuple[Callable, Any]]) -> Dict[str, Any]:
+    """Read the mapping ``section`` by the table ``keys``, ``{key: (reader, default)}``.
+
+    Keys are read in table order. A missing key, or one given as null, reads
+    as its default. A ``_REQUIRED`` key must be present, and null goes to its
+    reader, which rejects it by name. Keys not in the table are then
+    rejected. Returns ``{key: value}`` in table order.
+    """
+    section = _as_mapping(section, path)
+    out = {}
+    for key, (reader, default) in keys.items():
+        value = section.get(key)
+        if value is None and default is not _REQUIRED:
+            out[key] = default
+        else:
+            key_path = f"{path}.{key}" if path else key
+            _check(key in section, key_path, "required key is missing")
+            out[key] = reader(value, key_path)
+    unknown = [k for k in section if k not in keys]
+    if unknown:
+        raise _fail(path or "top level", f"unknown key(s): {', '.join(sorted(map(str, unknown)))}")
+    return out
+
+
+def _build(make: Callable, path: str, /, **values):
+    """``make(**values)``, with a ValueError it raises reported at ``path``."""
+    try:
+        return make(**values)
+    except ConfigError:
+        raise
+    except ValueError as e:
+        raise _fail(path, str(e)) from e
 
 
 # ---------------------------------------------------------------------------
 # model block
 
 
-def _kinetic(d: Dict[str, Any], path: str, n_p: int) -> float:
-    inertia = _take_number(d, "inertia", path)
-    kinetic_coeff = _take_number(d, "kinetic_coeff", path)
-    convention = _take(d, "kinetic_convention", path, default="mechanical")
-    if (inertia is None) == (kinetic_coeff is None):
-        raise _fail(path, "give exactly one of inertia / kinetic_coeff")
-    if kinetic_coeff is not None:
-        if convention != "mechanical":
-            raise _fail(f"{path}.kinetic_convention", "only applies with inertia")
-        return kinetic_coeff
-    try:
-        return kinetic_coefficient(inertia, n_p, convention)
-    except ValueError as e:
-        raise _fail(path, str(e)) from e
-
-
-def _saturation_block(d, path: str, phi_M: float, kinetic_coeff: float, n_p: int, R_s: float):
-    block = _as_mapping(_take(d, "saturation", path, required=True), f"{path}.saturation")
-    spath = f"{path}.saturation"
-    scaled = _boolean(_take(block, "scaled", spath, required=True), f"{spath}.scaled")
-    coeffs = _as_mapping(
-        _take(block, "coefficients", spath, required=True), f"{spath}.coefficients"
-    )
-    _reject_unknown(block, spath)
-    cpath = f"{spath}.coefficients"
+def _saturation(block, path: str, **params) -> SaturationCoefficients:
+    s = _read(block, path, {"scaled": (_boolean, _REQUIRED), "coefficients": (_any, _REQUIRED)})
     # every scaled key is required; a raw key is required where its field has no default
     no_default = {f.name for f in fields(SaturationCoefficients) if f.default is MISSING}
-    values = {}
-    for name, key, _, _, _ in _QUARTIC:
-        key = key if scaled else name
-        if scaled or name in no_default:
-            values[key] = _number(_take(coeffs, key, cpath, required=True), f"{cpath}.{key}")
-        else:
-            values[key] = _take_number(coeffs, key, cpath, default=0.0)
-    _reject_unknown(coeffs, cpath)
-    build = SaturationCoefficients.from_scaled if scaled else SaturationCoefficients
-    try:
-        return build(phi_M=phi_M, kinetic_coeff=kinetic_coeff, n_p=n_p, R_s=R_s, **values)
-    except ValueError as e:
-        raise _fail(cpath, str(e)) from e
+    keys = {
+        key if s["scaled"] else name: (_number, _REQUIRED if s["scaled"] or name in no_default else 0.0)
+        for name, key, _, _, _ in _QUARTIC
+    }
+    cpath = f"{path}.coefficients"
+    build = SaturationCoefficients.from_scaled if s["scaled"] else SaturationCoefficients
+    return _build(build, cpath, **params, **_read(s["coefficients"], cpath, keys))
 
 
 def _poly(value, path: str) -> FluxPolynomial:
@@ -185,298 +190,208 @@ def _poly(value, path: str) -> FluxPolynomial:
     return FluxPolynomial(coeffs)
 
 
-def _harmonic_terms(d, path: str) -> Tuple[HarmonicTerm, ...]:
-    raw = _take(d, "harmonics", path, default=[])
-    if not isinstance(raw, list):
-        raise _fail(f"{path}.harmonics", "expected a list of harmonic terms")
+_NO_POLY = FluxPolynomial({})
+_TERM = {"k": (_float_integer, _REQUIRED), "a": (_poly, _NO_POLY), "b": (_poly, _NO_POLY)}
+
+
+def _harmonic_terms(value, path: str) -> Tuple[HarmonicTerm, ...]:
+    _check(isinstance(value, list), path, "expected a list of harmonic terms")
     terms = []
-    for idx, item in enumerate(raw):
-        tpath = f"{path}.harmonics[{idx}]"
-        block = _as_mapping(item, tpath)
-        k = _take_integer(block, "k", tpath, required=True)
-        a = _poly(_take(block, "a", tpath, default={}), f"{tpath}.a")
-        b = _poly(_take(block, "b", tpath, default={}), f"{tpath}.b")
-        _reject_unknown(block, tpath)
-        try:
-            terms.append(HarmonicTerm(k=k, a_poly=a, b_poly=b))
-        except ValueError as e:
-            raise _fail(tpath, str(e)) from e
+    for i, item in enumerate(value):
+        t = _read(item, f"{path}[{i}]", _TERM)
+        terms.append(_build(HarmonicTerm, f"{path}[{i}]", k=t["k"], a_poly=t["a"], b_poly=t["b"]))
     return tuple(terms)
 
 
-def _zero_axis(d, path: str) -> Optional[ZeroAxisSeries]:
-    raw = _take(d, "zero_axis", path)
-    if raw is None:
-        return None
-    block = _as_mapping(raw, f"{path}.zero_axis")
-    cos = _number_list(_take(block, "cos", f"{path}.zero_axis", default=[]), f"{path}.zero_axis.cos")
-    sin = _number_list(_take(block, "sin", f"{path}.zero_axis", default=[]), f"{path}.zero_axis.sin")
-    _reject_unknown(block, f"{path}.zero_axis")
-    return ZeroAxisSeries(cos_coeffs=tuple(cos), sin_coeffs=tuple(sin))
+def _zero_axis(value, path: str) -> ZeroAxisSeries:
+    series = _read(value, path, {"cos": (_number_list, ()), "sin": (_number_list, ())})
+    return ZeroAxisSeries(series["cos"], series["sin"])
 
 
-def _build_model(block: Dict[str, Any], path: str) -> EnergyModel:
-    d = dict(block)
-    kind = _take(d, "kind", path, required=True)
-    if kind not in MODEL_KINDS:
-        raise _fail(f"{path}.kind", f"unknown model kind {kind!r}; use one of {MODEL_KINDS}")
-    n_p = _take_integer(d, "n_p", path, required=True)
-    r_s = _take_number(d, "R_s", path, required=True)
-    try:
-        if kind == "linear_im":
-            params = ImParams(
-                L_s=_take_number(d, "L_s", path, required=True),
-                L_r=_take_number(d, "L_r", path, required=True),
-                L_m=_take_number(d, "L_m", path, required=True),
-                R_s=r_s,
-                R_r=_take_number(d, "R_r", path, required=True),
-                kinetic_coeff=_kinetic(d, path, n_p),
-                n_p=n_p,
-            )
-            _reject_unknown(d, path)
-            return im_energy(params)
-        kappa = _kinetic(d, path, n_p)
-        if kind in ("linear_pmsm", "synrm"):
-            phi_M = _take_number(d, "phi_M", path, default=0.0)
-            params = LinearPmsmParams(
-                L_d=_take_number(d, "L_d", path, required=True),
-                L_q=_take_number(d, "L_q", path, required=True),
-                phi_M=phi_M,
-                kinetic_coeff=kappa,
-                n_p=n_p,
-                R_s=r_s,
-            )
-            _reject_unknown(d, path)
-            return synrm_energy(params) if kind == "synrm" else linear_energy(params)
-        phi_M = _take_number(d, "phi_M", path, required=True)
-        coeffs = _saturation_block(d, path, phi_M, kappa, n_p, r_s)
-        if kind == "saturated_pmsm":
-            _reject_unknown(d, path)
-            return saturated_energy(coeffs)
-        terms = _harmonic_terms(d, path)
-        zero = _zero_axis(d, path)
-        _reject_unknown(d, path)
-        return harmonic_energy(HarmonicModel(base=coeffs, terms=terms, zero_axis=zero))
-    except ConfigError:
-        raise
-    except ValueError as e:
-        raise _fail(path, str(e)) from e
+_REQUIRED_NUMBER = (_number, _REQUIRED)
+_LINEAR = {"L_d": _REQUIRED_NUMBER, "L_q": _REQUIRED_NUMBER, "phi_M": (_number, 0.0)}
+_SATURATED = {"phi_M": _REQUIRED_NUMBER, "saturation": (_any, _REQUIRED)}
+_HARMONIC = {**_SATURATED, "harmonics": (_harmonic_terms, ()), "zero_axis": (_zero_axis, None)}
+_INDUCTION = dict.fromkeys(("L_s", "L_r", "L_m", "R_r"), _REQUIRED_NUMBER)
+_COMMON = {"kind": (_any, _REQUIRED), "n_p": (_float_integer, _REQUIRED), "R_s": _REQUIRED_NUMBER}
+_KINETIC = {
+    "inertia": (_number, None),
+    "kinetic_coeff": (_number, None),
+    "kinetic_convention": (_any, "mechanical"),
+}
+_MODEL_KEYS = {
+    kind: {**_COMMON, **keys, **_KINETIC}
+    for kind, keys in (
+        ("linear_pmsm", _LINEAR),
+        ("synrm", _LINEAR),
+        ("saturated_pmsm", _SATURATED),
+        ("harmonic_pmsm", _HARMONIC),
+        ("linear_im", _INDUCTION),
+    )
+}
+
+
+def _build_model(block, path: str) -> EnergyModel:
+    """Build the model; the caller reports a plain ValueError raised here at ``path``."""
+    d = _as_mapping(block, path)
+    _check("kind" in d, f"{path}.kind", "required key is missing")
+    kind = d["kind"]
+    _check(kind in MODEL_KINDS, f"{path}.kind", f"unknown model kind {kind!r}; use one of {MODEL_KINDS}")
+    v = _read(d, path, _MODEL_KEYS[kind])
+    del v["kind"]
+    inertia, kappa, convention = v.pop("inertia"), v.pop("kinetic_coeff"), v.pop("kinetic_convention")
+    _check((inertia is None) != (kappa is None), path, "give exactly one of inertia / kinetic_coeff")
+    if kappa is None:
+        kappa = kinetic_coefficient(inertia, v["n_p"], convention)
+    else:
+        _check(convention == "mechanical", f"{path}.kinetic_convention", "only applies with inertia")
+    if kind == "linear_im":
+        return im_energy(ImParams(kinetic_coeff=kappa, **v))
+    if kind in ("linear_pmsm", "synrm"):
+        energy = synrm_energy if kind == "synrm" else linear_energy
+        return energy(LinearPmsmParams(kinetic_coeff=kappa, **v))
+    terms, zero_axis = v.pop("harmonics", ()), v.pop("zero_axis", None)
+    coeffs = _saturation(v.pop("saturation"), f"{path}.saturation", kinetic_coeff=kappa, **v)
+    if kind == "saturated_pmsm":
+        return saturated_energy(coeffs)
+    return harmonic_energy(HarmonicModel(base=coeffs, terms=terms, zero_axis=zero_axis))
 
 
 # ---------------------------------------------------------------------------
 # drive, sim, initial state
 
+_SINUSOID = dict.fromkeys(("amp_d", "amp_q", "freq_hz", "phase_d", "phase_q"), (_number, 0.0))
+_VOLTAGES = {
+    "constant": (ConstantVoltage, {"u_d": (_number, 0.0), "u_q": (_number, 0.0)}),
+    "sinusoid": (SinusoidVoltage, {**_SINUSOID, "freq_hz": _REQUIRED_NUMBER}),
+    "table": (TableVoltage, dict.fromkeys(("times", "u_d", "u_q"), (_number_list, _REQUIRED))),
+}
+_LOADS = {
+    "constant": (ConstantLoad, {"torque": (_number, 0.0)}),
+    "linear": (LinearLoad, {"torque_0": (_number, 0.0), "coeff": (_number, 0.0)}),
+    "table": (TableLoad, dict.fromkeys(("times", "torque"), (_number_list, _REQUIRED))),
+}
 
-def _build_voltage(block, path: str):
+
+def _build_kind(block, path: str, kinds: Dict[str, Tuple[Callable, Dict]], noun: str):
+    """A drive part: ``kinds`` maps its ``kind`` (default ``constant``) to ``(class, keys)``."""
     d = _as_mapping(block, path)
-    kind = _take(d, "kind", path, default="constant")
-    try:
-        if kind == "constant":
-            v = ConstantVoltage(
-                u_d=_take_number(d, "u_d", path, default=0.0),
-                u_q=_take_number(d, "u_q", path, default=0.0),
-            )
-        elif kind == "sinusoid":
-            v = SinusoidVoltage(
-                amp_d=_take_number(d, "amp_d", path, default=0.0),
-                amp_q=_take_number(d, "amp_q", path, default=0.0),
-                freq_hz=_take_number(d, "freq_hz", path, required=True),
-                phase_d=_take_number(d, "phase_d", path, default=0.0),
-                phase_q=_take_number(d, "phase_q", path, default=0.0),
-            )
-        elif kind == "table":
-            v = TableVoltage(
-                times=tuple(_number_list(_take(d, "times", path, required=True), f"{path}.times")),
-                u_d=tuple(_number_list(_take(d, "u_d", path, required=True), f"{path}.u_d")),
-                u_q=tuple(_number_list(_take(d, "u_q", path, required=True), f"{path}.u_q")),
-            )
-        else:
-            raise _fail(f"{path}.kind", f"unknown voltage kind {kind!r}")
-    except ConfigError:
-        raise
-    except ValueError as e:
-        raise _fail(path, str(e)) from e
-    _reject_unknown(d, path)
-    return v
-
-
-def _build_load(block, path: str):
-    d = _as_mapping(block, path)
-    kind = _take(d, "kind", path, default="constant")
-    try:
-        if kind == "constant":
-            load = ConstantLoad(torque=_take_number(d, "torque", path, default=0.0))
-        elif kind == "linear":
-            load = LinearLoad(
-                torque_0=_take_number(d, "torque_0", path, default=0.0),
-                coeff=_take_number(d, "coeff", path, default=0.0),
-            )
-        elif kind == "table":
-            load = TableLoad(
-                times=tuple(_number_list(_take(d, "times", path, required=True), f"{path}.times")),
-                torque=tuple(
-                    _number_list(_take(d, "torque", path, required=True), f"{path}.torque")
-                ),
-            )
-        else:
-            raise _fail(f"{path}.kind", f"unknown load kind {kind!r}")
-    except ConfigError:
-        raise
-    except ValueError as e:
-        raise _fail(path, str(e)) from e
-    _reject_unknown(d, path)
-    return load
+    kind = d.pop("kind", "constant")
+    _check(isinstance(kind, str) and kind in kinds, f"{path}.kind", f"unknown {noun} kind {kind!r}")
+    make, keys = kinds[kind]
+    return _build(make, path, **_read(d, path, keys))
 
 
 def _build_drive(block, path: str) -> Drive:
-    d = _as_mapping(block, path)
-    voltage = _build_voltage(_take(d, "voltage", path, default={}), f"{path}.voltage")
-    load = _build_load(_take(d, "load", path, default={}), f"{path}.load")
-    _reject_unknown(d, path)
-    return Drive(voltage=voltage, load=load)
+    d = _read(block, path, {"voltage": (_any, None), "load": (_any, None)})
+    return Drive(
+        voltage=_build_kind(d["voltage"], f"{path}.voltage", _VOLTAGES, "voltage"),
+        load=_build_kind(d["load"], f"{path}.load", _LOADS, "load"),
+    )
 
 
-def _build_sim(block, path: str) -> SimConfig:
-    d = _as_mapping(block, path)
-    defaults = SimConfig()
-    integrator = _take(d, "integrator", path, default=defaults.integrator)
-    try:
-        cfg = SimConfig(
-            dt=_take_number(d, "dt", path, default=defaults.dt),
-            t_end=_take_number(d, "t_end", path, default=defaults.t_end),
-            integrator=integrator,
-            record_stride=_take_integer(d, "record_stride", path, default=defaults.record_stride),
-            omega_s=_take_number(d, "omega_s", path, default=defaults.omega_s),
-        )
-    except ConfigError:
-        raise
-    except ValueError as e:
-        raise _fail(path, str(e)) from e
-    _reject_unknown(d, path)
-    return cfg
-
-
-def _default_flux(model: EnergyModel) -> np.ndarray:
-    phi = np.zeros(model.flux_dim)
-    phi[0] = float(getattr(model.params, "phi_M", 0.0))
-    return phi
+_SIM = {
+    "dt": (_number, SimConfig.dt),
+    "t_end": (_number, SimConfig.t_end),
+    "integrator": (_any, SimConfig.integrator),
+    "record_stride": (_integer, SimConfig.record_stride),
+    "omega_s": (_number, SimConfig.omega_s),
+}
+_INITIAL = {
+    "theta": (_number, 0.0),
+    "rho": (_number, None),
+    "omega": (_number, None),
+    "phi": (_number_list, None),
+}
 
 
 def _build_initial(block, path: str, model: EnergyModel) -> MachineState:
-    d = _as_mapping(block, path)
-    theta = _take_number(d, "theta", path, default=0.0)
-    rho = _take_number(d, "rho", path)
-    omega = _take_number(d, "omega", path)
-    if rho is not None and omega is not None:
-        raise _fail(path, "give at most one of rho / omega")
+    s = _read(block, path, _INITIAL)
+    rho, omega, phi = s["rho"], s["omega"], s["phi"]
+    _check(rho is None or omega is None, path, "give at most one of rho / omega")
     if omega is not None:
-        kappa = float(model.params.kinetic_coeff)
-        rho = omega / kappa
-    if rho is None:
-        rho = 0.0
-    phi_raw = _take(d, "phi", path)
-    _reject_unknown(d, path)
-    if phi_raw is None:
-        phi = _default_flux(model)
-    else:
-        phi = np.array(_number_list(phi_raw, f"{path}.phi"))
-        if phi.shape != (model.flux_dim,):
-            raise _fail(f"{path}.phi", f"expected {model.flux_dim} components")
-    return MachineState(theta, rho, phi)
+        rho = omega / float(model.params.kinetic_coeff)
+    if phi is None:
+        phi = np.zeros(model.flux_dim)
+        phi[0] = float(getattr(model.params, "phi_M", 0.0))
+    _check(len(phi) == model.flux_dim, f"{path}.phi", f"expected {model.flux_dim} components")
+    return MachineState(s["theta"], 0.0 if rho is None else rho, phi)
 
 
 # ---------------------------------------------------------------------------
 # analysis sections
 
-
-def _build_identify(block, path: str) -> Dict[str, Any]:
-    d = _as_mapping(block, path)
-    out = {
-        "phi_M": _take_number(d, "phi_M", path),
-        "refine_phi_M": _boolean(
-            _take(d, "refine_phi_M", path, default=False), f"{path}.refine_phi_M"
-        ),
-    }
-    _reject_unknown(d, path)
-    return out
+_IDENTIFY = {"phi_M": (_number, None), "refine_phi_M": (_boolean, False)}
+_RIPPLE = {
+    "theta_min": (_number, 0.0),
+    "theta_max": (_number, 2.0 * math.pi / 3.0),
+    "n_points": (_integer, 361),
+    "rho": (_number, 0.0),
+    "phi": (_number_list, None),
+}
+_AXIS_POINTS = 21
 
 
 def _build_ripple(block, path: str) -> Dict[str, Any]:
-    d = _as_mapping(block, path)
-    out = {
-        "theta_min": _take_number(d, "theta_min", path, default=0.0),
-        "theta_max": _take_number(d, "theta_max", path, default=2.0 * math.pi / 3.0),
-        "n_points": _take_integer(d, "n_points", path, default=361),
-        "rho": _take_number(d, "rho", path, default=0.0),
-        "phi": _take(d, "phi", path),
-    }
-    if out["phi"] is not None:
-        out["phi"] = _number_list(out["phi"], f"{path}.phi")
-    if out["n_points"] < 2:
-        raise _fail(f"{path}.n_points", "need at least 2 grid points")
-    if not out["theta_max"] > out["theta_min"]:
-        raise _fail(path, "theta_max must exceed theta_min")
-    _reject_unknown(d, path)
+    out = _read(block, path, _RIPPLE)
+    _check(out["n_points"] >= 2, f"{path}.n_points", "need at least 2 grid points")
+    _check(out["theta_max"] > out["theta_min"], path, "theta_max must exceed theta_min")
     return out
 
 
-def _axis_spec(block, path: str, default_min: float, default_max: float) -> Tuple[float, float, int]:
-    d = _as_mapping(block, path)
-    lo = _take_number(d, "min", path, default=default_min)
-    hi = _take_number(d, "max", path, default=default_max)
-    n = _take_integer(d, "n", path, default=21)
-    _reject_unknown(d, path)
-    if not hi > lo:
-        raise _fail(path, "max must exceed min")
-    if n < 2:
-        raise _fail(f"{path}.n", "need at least 2 grid points")
-    return lo, hi, n
+def _axis(block, path: str, bounds: Tuple[float, float]) -> Tuple[float, float, int]:
+    lo, hi = bounds
+    a = _read(block, path, {"min": (_number, lo), "max": (_number, hi), "n": (_integer, _AXIS_POINTS)})
+    _check(a["max"] > a["min"], path, "max must exceed min")
+    _check(a["n"] >= 2, f"{path}.n", "need at least 2 grid points")
+    return a["min"], a["max"], a["n"]
 
 
 def _build_flux_map(block, path: str, model: EnergyModel) -> Dict[str, Any]:
-    d = _as_mapping(block, path)
     phi_M = float(getattr(model.params, "phi_M", 0.0))
     half = phi_M if phi_M > 0.0 else 0.25
-    center = phi_M
-    out = {
-        "phi_d": _axis_spec(_take(d, "phi_d", path, default={}), f"{path}.phi_d", center - half, center + half),
-        "phi_q": _axis_spec(_take(d, "phi_q", path, default={}), f"{path}.phi_q", -half, half),
-    }
-    _reject_unknown(d, path)
-    return out
+    axes = {"phi_d": (phi_M - half, phi_M + half), "phi_q": (-half, half)}
+    keys = {key: (partial(_axis, bounds=b), (*b, _AXIS_POINTS)) for key, b in axes.items()}
+    return _read(block, path, keys)
 
 
 def _build_validate(block, path: str) -> Dict[str, Any]:
-    d = _as_mapping(block, path)
-    out = {
-        "n_samples": _take_integer(d, "n_samples", path, default=10_000),
-        "tol": _take_number(d, "tol", path, default=1.0e-10),
-    }
-    if out["n_samples"] < 1:
-        raise _fail(f"{path}.n_samples", "need a positive sample count")
-    _reject_unknown(d, path)
+    out = _read(block, path, {"n_samples": (_integer, 10_000), "tol": (_number, 1.0e-10)})
+    _check(out["n_samples"] >= 1, f"{path}.n_samples", "need a positive sample count")
     return out
+
+
+_SWEEP = {"parameter": (_any, _REQUIRED), "values": (_any, _REQUIRED), "workers": (_integer, 1)}
 
 
 def _build_sweep(block, path: str) -> Optional[Dict[str, Any]]:
     if block is None:
         return None
-    d = _as_mapping(block, path)
-    parameter = _take(d, "parameter", path, required=True)
-    if not isinstance(parameter, str) or not parameter:
-        raise _fail(f"{path}.parameter", "expected a dotted key path string")
-    values = _take(d, "values", path, required=True)
-    if not isinstance(values, list) or not values:
-        raise _fail(f"{path}.values", "expected a non-empty list")
-    workers = _take_integer(d, "workers", path, default=1)
-    if workers < 1:
-        raise _fail(f"{path}.workers", "need at least one worker")
-    _reject_unknown(d, path)
-    return {"parameter": parameter, "values": values, "workers": workers}
+    out = _read(block, path, _SWEEP)
+    parameter, values = out["parameter"], out["values"]
+    _check(isinstance(parameter, str) and parameter != "", f"{path}.parameter",
+           "expected a dotted key path string")
+    _check(isinstance(values, list) and values != [], f"{path}.values", "expected a non-empty list")
+    _check(out["workers"] >= 1, f"{path}.workers", "need at least one worker")
+    return out
 
 
 # ---------------------------------------------------------------------------
 # top level
+
+
+def _schema_version(value, path: str) -> int:
+    _check(value == SCHEMA_VERSION, path, f"expected {SCHEMA_VERSION}, got {value!r}")
+    return value
+
+
+_TOP = {
+    "schema_version": (_schema_version, _REQUIRED),
+    "model": (_any, _REQUIRED),
+    **dict.fromkeys(("drive", "sim", "initial"), (_any, None)),
+    "seed": (_integer, 0),
+    **dict.fromkeys(("identify", "ripple", "flux_map", "validate", "sweep"), (_any, None)),
+}
 
 
 class MotorConfig:
@@ -490,23 +405,18 @@ class MotorConfig:
         if not isinstance(raw, dict):
             raise ConfigError("top level: expected a mapping")
         self.raw = raw
-        d = dict(raw)
-        version = _take(d, "schema_version", "", required=True)
-        if version != SCHEMA_VERSION:
-            raise _fail("schema_version", f"expected {SCHEMA_VERSION}, got {version!r}")
-        model_block = _take(d, "model", "", required=True)
-        self.model_kind = _as_mapping(model_block, "model").get("kind")
-        self.model = _build_model(_as_mapping(model_block, "model"), "model")
-        self.drive = _build_drive(_take(d, "drive", "", default={}), "drive")
-        self.sim = _build_sim(_take(d, "sim", "", default={}), "sim")
-        self.initial = _build_initial(_take(d, "initial", "", default={}), "initial", self.model)
-        self.seed = _take_integer(d, "seed", "", default=0)
-        self.identify = _build_identify(_take(d, "identify", "", default={}), "identify")
-        self.ripple = _build_ripple(_take(d, "ripple", "", default={}), "ripple")
-        self.flux_map = _build_flux_map(_take(d, "flux_map", "", default={}), "flux_map", self.model)
-        self.validate = _build_validate(_take(d, "validate", "", default={}), "validate")
-        self.sweep = _build_sweep(_take(d, "sweep", "", default=None), "sweep")
-        _reject_unknown(d, "top level")
+        top = _read(raw, "", _TOP)
+        self.model_kind = _as_mapping(top["model"], "model").get("kind")
+        self.model = _build(_build_model, "model", block=top["model"], path="model")
+        self.drive = _build_drive(top["drive"], "drive")
+        self.sim = _build(SimConfig, "sim", **_read(top["sim"], "sim", _SIM))
+        self.initial = _build_initial(top["initial"], "initial", self.model)
+        self.seed = top["seed"]
+        self.identify = _read(top["identify"], "identify", _IDENTIFY)
+        self.ripple = _build_ripple(top["ripple"], "ripple")
+        self.flux_map = _build_flux_map(top["flux_map"], "flux_map", self.model)
+        self.validate = _build_validate(top["validate"], "validate")
+        self.sweep = _build_sweep(top["sweep"], "sweep")
 
 
 # libyaml's parser, where PyYAML was built with it, reads a config about

@@ -81,6 +81,9 @@ class SampleBox:
         object.__setattr__(self, "phi_half", np.asarray(self.phi_half, dtype=float))
         if self.phi_center.shape != self.phi_half.shape:
             raise ValueError("phi_center and phi_half must have the same shape")
+        for name in ("phi_center", "phi_half", "theta_half", "rho_half"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} must be finite")
         if np.any(self.phi_half <= 0.0) or self.theta_half <= 0.0 or self.rho_half <= 0.0:
             raise ValueError("box half-widths must be positive")
 
