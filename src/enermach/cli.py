@@ -1,18 +1,17 @@
 """Command-line front end.
 
-Verbs: simulate, im-sim, identify, ripple, validate, flux-map, sweep.  Every
-verb reads one YAML config (--config), writes CSV output (--out or a
-default under $ENERMACH_OUT_DIR), and prints a short summary unless
---quiet.  Exit codes: 0 success, 1 config/input validation error, 2
-numerical failure (simulation abort, rank deficiency, failed checks), 3
-file I/O error.
+Verbs: simulate, im-sim, identify, ripple, validate, flux-map, sweep, one
+row each of a verb table.  Every verb is given the one YAML config
+(--config) that main loads, writes CSV output (--out or a default under
+$ENERMACH_OUT_DIR), and prints a short summary unless --quiet.  Exit
+codes: 0 success, 1 config/input validation error, 2 numerical failure
+(simulation abort, rank deficiency, failed checks), 3 file I/O error.
 """
 
 from __future__ import annotations
 
 import argparse
 import copy
-import math
 import os
 import sys
 # concurrent.futures loads multiprocessing, socket and logging: cmd_sweep imports it for its pool
@@ -54,18 +53,21 @@ def _say(args, message: str) -> None:
         print(message)
 
 
+def _out_dir(out: Optional[str]) -> Path:
+    """``out``, or else $ENERMACH_OUT_DIR (default: the working directory); made if missing."""
+    out_dir = Path(out or os.environ.get(OUT_DIR_ENV, "."))
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return out_dir
+
+
 def _default_out(args, suffix: str) -> Path:
     if args.out:
         return Path(args.out)
-    out_dir = Path(os.environ.get(OUT_DIR_ENV, "."))
-    out_dir.mkdir(parents=True, exist_ok=True)
-    stem = Path(args.config).stem
-    return out_dir / f"{stem}_{suffix}.csv"
+    return _out_dir(None) / f"{Path(args.config).stem}_{suffix}.csv"
 
 
-def cmd_run(args) -> int:
+def cmd_run(cfg: MotorConfig, args) -> int:
     """The simulate and im-sim verbs."""
-    cfg = load_config(args.config)
     if args.verb == "simulate" and cfg.model.flux_dim != 2:
         raise ConfigError("model.kind: linear_im runs under the im-sim verb")
     if args.verb == "im-sim" and cfg.model.flux_dim != 4:
@@ -88,8 +90,7 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-def cmd_identify(args) -> int:
-    cfg = load_config(args.config)
+def cmd_identify(cfg: MotorConfig, args) -> int:
     samples = read_samples_csv(args.samples)
     if len(samples) < len(PARAM_NAMES):
         raise ConfigError(
@@ -118,8 +119,7 @@ def cmd_identify(args) -> int:
     return EXIT_OK if fit.converged else EXIT_NUMERIC
 
 
-def cmd_ripple(args) -> int:
-    cfg = load_config(args.config)
+def cmd_ripple(cfg: MotorConfig, args) -> int:
     spec = cfg.ripple
     theta = np.linspace(spec["theta_min"], spec["theta_max"], spec["n_points"])
     phi = np.array(spec["phi"]) if spec["phi"] is not None else cfg.initial.phi
@@ -137,8 +137,7 @@ def cmd_ripple(args) -> int:
     return EXIT_OK
 
 
-def cmd_flux_map(args) -> int:
-    cfg = load_config(args.config)
+def cmd_flux_map(cfg: MotorConfig, args) -> int:
     if cfg.model.flux_dim != 2:
         raise ConfigError("flux_map: needs a two-component flux model")
     d_lo, d_hi, d_n = cfg.flux_map["phi_d"]
@@ -156,27 +155,22 @@ def cmd_flux_map(args) -> int:
     return EXIT_OK
 
 
-def cmd_validate(args) -> int:
-    cfg = load_config(args.config)
-    n = cfg.validate["n_samples"]
-    tol = cfg.validate["tol"]
-    seed = args.seed if args.seed is not None else cfg.seed
-    reports = [check_reciprocity(cfg.model, n_samples=n, tol=tol, seed=seed)]
+def cmd_validate(cfg: MotorConfig, args) -> int:
     if cfg.model.flux_dim == 4:
-        reports.append(check_im_rotation(cfg.model, n_samples=n, tol=tol, seed=seed))
+        checks = [check_reciprocity, check_im_rotation]
     else:
-        reports += [
-            check_period(cfg.model, n_samples=n, tol=tol, seed=seed),
-            check_parity(cfg.model, n_samples=n, tol=tol, seed=seed),
-        ]
+        checks = [check_reciprocity, check_period, check_parity]
         if cfg.model_kind == "synrm":
-            reports.append(check_synrm_evenness(cfg.model, n_samples=n, tol=tol, seed=seed))
+            checks.append(check_synrm_evenness)
+    seed = args.seed if args.seed is not None else cfg.seed
+    n, tol = cfg.validate["n_samples"], cfg.validate["tol"]
+    reports = [check(cfg.model, n_samples=n, tol=tol, seed=seed) for check in checks]
     for report in reports:
         _say(args, report.summary())
-    if all(r.passed for r in reports):
+    failed = sum(not r.passed for r in reports)
+    if not failed:
         _say(args, f"all {len(reports)} checks passed")
         return EXIT_OK
-    failed = sum(1 for r in reports if not r.passed)
     print(f"{failed} check(s) failed", file=sys.stderr)
     return EXIT_NUMERIC
 
@@ -202,20 +196,13 @@ def _sweep_worker(payload):
     return out_path, len(traj)
 
 
-def cmd_sweep(args) -> int:
-    cfg = load_config(args.config)
+def cmd_sweep(cfg: MotorConfig, args) -> int:
     if cfg.sweep is None:
         raise ConfigError("sweep: section required for the sweep verb")
     parameter = cfg.sweep["parameter"]
     values = cfg.sweep["values"]
     workers = cfg.sweep["workers"]
-
-    if args.out:
-        out_dir = Path(args.out)
-    else:
-        out_dir = Path(os.environ.get(OUT_DIR_ENV, "."))
-    out_dir.mkdir(parents=True, exist_ok=True)
-    stem = Path(args.config).stem
+    out_dir, stem = _out_dir(args.out), Path(args.config).stem
 
     # validate all points before launching anything
     payloads = []
@@ -229,12 +216,24 @@ def cmd_sweep(args) -> int:
     else:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # the pool starts all its workers at the first submit
+        with ProcessPoolExecutor(max_workers=min(workers, len(payloads))) as pool:
             results = list(pool.map(_sweep_worker, payloads))
     for (path, n), value in zip(results, values):
         _say(args, f"{parameter}={value!r}: wrote {path} ({n} samples)")
     _say(args, f"sweep complete: {len(results)} runs")
     return EXIT_OK
+
+
+_VERBS = {
+    "simulate": (cmd_run, "integrate a PMSM/SynRM run"),
+    "im-sim": (cmd_run, "integrate an induction machine run"),
+    "identify": (cmd_identify, "fit saturation parameters"),
+    "ripple": (cmd_ripple, "torque over a rotor angle grid"),
+    "validate": (cmd_validate, "run the model self-checks"),
+    "flux-map": (cmd_flux_map, "currents over a flux grid"),
+    "sweep": (cmd_sweep, "fan out simulate over a parameter list"),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -249,47 +248,24 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Energy-based machine models: simulate, identify, analyze.",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
-
-    sub.add_parser("simulate", parents=[common], help="integrate a PMSM/SynRM run").set_defaults(
-        func=cmd_run
-    )
-    sub.add_parser("im-sim", parents=[common], help="integrate an induction machine run").set_defaults(
-        func=cmd_run
-    )
-    p_id = sub.add_parser("identify", parents=[common], help="fit saturation parameters")
-    p_id.add_argument("--samples", required=True, help="flux/current sample CSV")
-    p_id.set_defaults(func=cmd_identify)
-    sub.add_parser("ripple", parents=[common], help="torque over a rotor angle grid").set_defaults(
-        func=cmd_ripple
-    )
-    sub.add_parser("validate", parents=[common], help="run the model self-checks").set_defaults(
-        func=cmd_validate
-    )
-    sub.add_parser("flux-map", parents=[common], help="currents over a flux grid").set_defaults(
-        func=cmd_flux_map
-    )
-    sub.add_parser("sweep", parents=[common], help="fan out simulate over a parameter list").set_defaults(
-        func=cmd_sweep
-    )
+    for verb, (func, help_text) in _VERBS.items():
+        p = sub.add_parser(verb, parents=[common], help=help_text)
+        if verb == "identify":
+            p.add_argument("--samples", required=True, help="flux/current sample CSV")
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except ConfigError as e:
+        return args.func(load_config(args.config), args)
+    except (ValueError, OSError, SimulationError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (RankDeficiencyError, SimulationError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_IO
+        # numeric errors first: a RankDeficiencyError is a ValueError too
+        if isinstance(e, (RankDeficiencyError, SimulationError)):
+            return EXIT_NUMERIC
+        return EXIT_CONFIG if isinstance(e, ValueError) else EXIT_IO
 
 
 if __name__ == "__main__":

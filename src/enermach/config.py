@@ -187,7 +187,7 @@ def _poly(value, path: str) -> FluxPolynomial:
         except ValueError:
             raise _fail(f"{path}.{key}", 'power keys look like "i,j"') from None
         coeffs[powers] = _number(raw, f"{path}.{key}")
-    return FluxPolynomial(coeffs)
+    return _build(FluxPolynomial, path, coeffs=coeffs)
 
 
 _NO_POLY = FluxPolynomial({})

@@ -124,7 +124,8 @@ class SimConfig:
 
     ``omega_s`` is the synchronous frame speed and only matters for the
     induction machine; single-winding machines rotate their frame with the
-    rotor.
+    rotor.  ``t_end / dt``, the step count before rounding, must be
+    finite.
     """
 
     dt: float = 1.0e-5
@@ -141,6 +142,8 @@ class SimConfig:
             raise ValueError("dt must be positive")
         if self.t_end < self.dt:
             raise ValueError("t_end must cover at least one step")
+        if not math.isfinite(self.t_end / self.dt):
+            raise ValueError("t_end / dt must be finite")
         if self.integrator not in _INTEGRATORS:
             raise ValueError(f"unknown integrator {self.integrator!r}; use one of {_INTEGRATORS}")
         if int(self.record_stride) != self.record_stride or self.record_stride < 1:

@@ -643,11 +643,11 @@ def kinetic_coefficient(inertia: float, pole_pairs: int, convention: str = "mech
     """
     if inertia <= 0.0:
         raise ValueError("inertia must be positive")
+    if pole_pairs < 1:
+        raise ValueError("n_p must be a positive integer")
     if convention == "mechanical":
         return pole_pairs**2 / inertia
     if convention == "reciprocal":
-        if pole_pairs == 0:
-            raise ValueError("n_p must be a positive integer")
         return 1.0 / (inertia * pole_pairs**2)
     raise ValueError(f"unknown kinetic convention {convention!r}")
 

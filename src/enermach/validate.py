@@ -122,13 +122,18 @@ def default_box(m: EnergyModel) -> SampleBox:
     return SampleBox(center, half, _TWO_PI, rho_half)
 
 
-def _h_comparison_report(name, tol, theta, rho, phi, h1, h2) -> CheckReport:
-    h1 = np.asarray(h1, dtype=float)
-    h2 = np.asarray(h2, dtype=float)
-    diff = np.abs(h1 - h2)
-    worst = int(np.argmax(diff))
-    max_abs = float(diff[worst])
-    scale = max(float(np.max(np.abs(h1))), float(np.max(np.abs(h2))), 1.0e-30)
+def _draw(m: EnergyModel, box: Optional[SampleBox], seed: int, n_samples: int):
+    """``(rng, theta, rho, phi)``: the check's generator after drawing its samples from ``box``."""
+    box = box or default_box(m)
+    rng = np.random.default_rng(seed)
+    return (rng, *box.draw(rng, n_samples))
+
+
+def _report(name, tol, theta, rho, phi, per_point, scale) -> CheckReport:
+    """The report of the sample with the largest ``per_point`` violation, relative to ``scale``."""
+    worst = int(np.argmax(per_point))
+    max_abs = float(per_point[worst])
+    scale = max(scale, 1.0e-30)
     max_rel = max_abs / scale
     point = {"theta": float(theta[worst]), "rho": float(rho[worst])}
     for k in range(phi.shape[1]):
@@ -143,6 +148,18 @@ def _h_comparison_report(name, tol, theta, rho, phi, h1, h2) -> CheckReport:
         passed=bool(max_rel < tol),
         worst_point=point,
     )
+
+
+def _h_comparison_report(name, tol, theta, rho, phi, h1, h2) -> CheckReport:
+    h1 = np.asarray(h1, dtype=float)
+    h2 = np.asarray(h2, dtype=float)
+    diff = np.abs(h1 - h2)
+    return _report(name, tol, theta, rho, phi, diff, max(float(np.max(np.abs(h1))), float(np.max(np.abs(h2)))))
+
+
+def _identity(name, m: EnergyModel, tol, theta, rho, phi, image) -> CheckReport:
+    """H at the samples against H at their ``image``, a ``(theta, rho, phi)`` triple."""
+    return _h_comparison_report(name, tol, theta, rho, phi, m.evaluate(theta, rho, phi), m.evaluate(*image))
 
 
 def check_reciprocity(
@@ -165,9 +182,7 @@ def check_reciprocity(
     """
     if fd_step == 0.0 or not math.isfinite(fd_step):
         raise ValueError(f"fd_step must be finite and nonzero, got {fd_step!r}")
-    box = box or default_box(m)
-    rng = np.random.default_rng(seed)
-    theta, rho, phi = box.draw(rng, n_samples)
+    _, theta, rho, phi = _draw(m, box, seed, n_samples)
     dim = phi.shape[1]
     norm2 = phi[:, 0] * phi[:, 0]
     for k in range(1, dim):
@@ -201,22 +216,7 @@ def check_reciprocity(
     for j in range(dim):
         for k in range(j, dim):
             np.maximum(per_point, np.abs(np.subtract(jac[j, k], jac[k, j], out=diff), out=diff), out=per_point)
-    worst = int(np.argmax(per_point))
-    max_abs = float(per_point[worst])
-    scale = max(float(np.maximum(jac.max(), -jac.min())), 1.0e-30)
-    point = {"theta": float(theta[worst]), "rho": float(rho[worst])}
-    for k in range(dim):
-        point[f"phi_{k}"] = float(phi[worst, k])
-    return CheckReport(
-        name="reciprocity",
-        samples=n_samples,
-        tolerance=tol,
-        max_abs=max_abs,
-        scale=scale,
-        max_rel=max_abs / scale,
-        passed=bool(max_abs / scale < tol),
-        worst_point=point,
-    )
+    return _report("reciprocity", tol, theta, rho, phi, per_point, float(np.maximum(jac.max(), -jac.min())))
 
 
 def check_period(
@@ -228,12 +228,8 @@ def check_period(
     box: Optional[SampleBox] = None,
 ) -> CheckReport:
     """H(theta + period) == H(theta) at random states."""
-    box = box or default_box(m)
-    rng = np.random.default_rng(seed)
-    theta, rho, phi = box.draw(rng, n_samples)
-    h1 = m.evaluate(theta, rho, phi)
-    h2 = m.evaluate(theta + period, rho, phi)
-    return _h_comparison_report("period", tol, theta, rho, phi, h1, h2)
+    _, theta, rho, phi = _draw(m, box, seed, n_samples)
+    return _identity("period", m, tol, theta, rho, phi, (theta + period, rho, phi))
 
 
 def check_parity(
@@ -246,14 +242,10 @@ def check_parity(
     """H(theta, rho, phi_d, phi_q) == H(-theta, -rho, phi_d, -phi_q)."""
     if m.flux_dim != 2:
         raise ValueError("parity check applies to two-component flux models")
-    box = box or default_box(m)
-    rng = np.random.default_rng(seed)
-    theta, rho, phi = box.draw(rng, n_samples)
-    h1 = m.evaluate(theta, rho, phi)
+    _, theta, rho, phi = _draw(m, box, seed, n_samples)
     phi_flip = phi.copy()
     phi_flip[:, 1] *= -1.0
-    h2 = m.evaluate(-theta, -rho, phi_flip)
-    return _h_comparison_report("parity", tol, theta, rho, phi, h1, h2)
+    return _identity("parity", m, tol, theta, rho, phi, (-theta, -rho, phi_flip))
 
 
 def check_synrm_evenness(
@@ -266,13 +258,8 @@ def check_synrm_evenness(
     """H(theta, rho, phi) == H(theta, rho, -phi): no magnet, no odd terms."""
     if m.flux_dim != 2:
         raise ValueError("evenness check applies to two-component flux models")
-    box = box or default_box(m)
-    rng = np.random.default_rng(seed)
-    theta, rho, phi = box.draw(rng, n_samples)
-    h1 = m.evaluate(theta, rho, phi)
-    h2 = m.evaluate(theta, rho, -phi)
-    report = _h_comparison_report("synrm_evenness", tol, theta, rho, phi, h1, h2)
-    return report
+    _, theta, rho, phi = _draw(m, box, seed, n_samples)
+    return _identity("synrm_evenness", m, tol, theta, rho, phi, (theta, rho, -phi))
 
 
 def check_im_rotation(
@@ -290,9 +277,7 @@ def check_im_rotation(
     m = im_energy(machine) if isinstance(machine, ImParams) else machine
     if m.flux_dim != 4:
         raise ValueError("rotation check applies to stacked stator/rotor flux models")
-    box = box or default_box(m)
-    rng = np.random.default_rng(seed)
-    theta, rho, phi = box.draw(rng, n_samples)
+    rng, theta, rho, phi = _draw(m, box, seed, n_samples)
     eta = rng.uniform(-math.pi, math.pi, n_samples)
     c, s = np.cos(eta), np.sin(eta)
     rot = np.empty_like(phi)
@@ -300,7 +285,4 @@ def check_im_rotation(
     rot[:, 1] = s * phi[:, 0] + c * phi[:, 1]
     rot[:, 2] = c * phi[:, 2] - s * phi[:, 3]
     rot[:, 3] = s * phi[:, 2] + c * phi[:, 3]
-    h1 = m.evaluate(theta, rho, phi)
-    h2 = m.evaluate(theta, rho, rot)
-    report = _h_comparison_report("im_rotation", tol, theta, rho, phi, h1, h2)
-    return report
+    return _identity("im_rotation", m, tol, theta, rho, phi, (theta, rho, rot))

@@ -2,8 +2,10 @@
 
 Each reference below is the earlier formula, kept verbatim: the sample
 draw, the blocked reciprocity check, the parity flip and the power
-balance's stacked sums.  Trajectory CSVs are compared with the per-value
-``{:.17g}`` text, and a header-only CSV reads back with zero rows.
+balance's stacked sums.  The period, SynRM evenness and induction rotation
+checks are pinned to a draw-evaluate-compare written out check by check.
+Trajectory CSVs are compared with the per-value ``{:.17g}`` text, and a
+header-only CSV reads back with zero rows.
 """
 
 import dataclasses
@@ -20,7 +22,15 @@ from enermach.energy import linear_energy, synrm_energy
 from enermach.harmonics import harmonic_energy
 from enermach.induction import im_energy
 from enermach.saturation import SaturationRangeWarning, saturated_energy
-from enermach.validate import SampleBox, check_parity, check_reciprocity, default_box
+from enermach.validate import (
+    SampleBox,
+    check_im_rotation,
+    check_parity,
+    check_period,
+    check_reciprocity,
+    check_synrm_evenness,
+    default_box,
+)
 from helpers import (
     CONFIG_DIR,
     _Delegate,
@@ -205,6 +215,77 @@ def test_parity_equals_the_broadcast_check(kind):
     m = MODELS[kind]()
     for n in (1, 7, 2049):
         assert _same_report(check_parity(m, n_samples=n, seed=n), _broadcast_parity(m, n_samples=n, seed=n))
+
+
+def _written_out_h_report(name, tol, theta, rho, phi, h1, h2):
+    diff = np.abs(np.asarray(h1, dtype=float) - np.asarray(h2, dtype=float))
+    worst = int(np.argmax(diff))
+    max_abs = float(diff[worst])
+    scale = max(float(np.max(np.abs(h1))), float(np.max(np.abs(h2))), 1.0e-30)
+    point = {"theta": float(theta[worst]), "rho": float(rho[worst])}
+    point.update({f"phi_{k}": float(phi[worst, k]) for k in range(phi.shape[1])})
+    max_rel = max_abs / scale
+    return validate.CheckReport(name, theta.size, tol, max_abs, scale, max_rel, max_rel < tol, point)
+
+
+def _written_out_period(m, n_samples, tol, seed, box):
+    theta, rho, phi = box.draw(np.random.default_rng(seed), n_samples)
+    h1, h2 = m.evaluate(theta, rho, phi), m.evaluate(theta + math.pi / 3.0, rho, phi)
+    return _written_out_h_report("period", tol, theta, rho, phi, h1, h2)
+
+
+def _written_out_evenness(m, n_samples, tol, seed, box):
+    theta, rho, phi = box.draw(np.random.default_rng(seed), n_samples)
+    h1, h2 = m.evaluate(theta, rho, phi), m.evaluate(theta, rho, -phi)
+    return _written_out_h_report("synrm_evenness", tol, theta, rho, phi, h1, h2)
+
+
+def _written_out_rotation(m, n_samples, tol, seed, box):
+    rng = np.random.default_rng(seed)
+    theta, rho, phi = box.draw(rng, n_samples)
+    eta = rng.uniform(-math.pi, math.pi, n_samples)
+    c, s = np.cos(eta), np.sin(eta)
+    rot = np.empty_like(phi)
+    rot[:, 0] = c * phi[:, 0] - s * phi[:, 1]
+    rot[:, 1] = s * phi[:, 0] + c * phi[:, 1]
+    rot[:, 2] = c * phi[:, 2] - s * phi[:, 3]
+    rot[:, 3] = s * phi[:, 2] + c * phi[:, 3]
+    h1, h2 = m.evaluate(theta, rho, phi), m.evaluate(theta, rho, rot)
+    return _written_out_h_report("im_rotation", tol, theta, rho, phi, h1, h2)
+
+
+def _report_bits(report):
+    """Every field of a report, each float as its hex text."""
+    out = {}
+    for key, value in dataclasses.asdict(report).items():
+        if isinstance(value, dict):
+            value = {k: v.hex() for k, v in value.items()}
+        elif isinstance(value, float):
+            value = value.hex()
+        out[key] = (type(value).__name__, value)
+    return out
+
+
+WRITTEN_OUT = {
+    check_period: (_written_out_period, list(MODELS)),
+    check_synrm_evenness: (_written_out_evenness, ["linear", "synrm", "saturated", "harmonic"]),
+    check_im_rotation: (_written_out_rotation, ["induction"]),
+}
+
+
+@pytest.mark.filterwarnings("ignore::enermach.saturation.SaturationRangeWarning")
+@pytest.mark.parametrize("check", WRITTEN_OUT, ids=lambda check: check.__name__)
+def test_identity_checks_equal_the_written_out_checks(check):
+    reference, kinds = WRITTEN_OUT[check]
+    for kind in kinds:
+        m = MODELS[kind]()
+        dim = m.flux_dim
+        boxes = (default_box(m), SampleBox(np.linspace(-0.3, 0.4, dim), np.linspace(0.05, 0.6, dim), 2.5, 40.0))
+        for box in boxes:
+            for n in (1, 7, validate._BLOCK + 5):
+                new = check(m, n_samples=n, tol=1.0e-9, seed=n, box=box)
+                old = reference(m, n, 1.0e-9, n, box)
+                assert _report_bits(new) == _report_bits(old), (kind, n)
 
 
 @pytest.mark.parametrize("config", ["saturated_ipm", "im_2kw"])

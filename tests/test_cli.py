@@ -1,5 +1,6 @@
 """Command-line front end: verbs, exit codes, output files."""
 
+import concurrent.futures
 import csv
 import os
 import subprocess
@@ -391,6 +392,33 @@ def test_sweep_rejects_bad_value_before_running(tmp_path, capsys):
     code = main(["sweep", "--config", path, "--out", str(out_dir)])
     assert code == EXIT_CONFIG
     assert not list(out_dir.glob("*.csv"))
+
+
+@pytest.mark.parametrize("workers, started", [(2, 2), (64, 3)])
+def test_sweep_pool_starts_no_more_workers_than_points(workers, started, tmp_path, monkeypatch):
+    made = []
+
+    class InlinePool:
+        """Records max_workers and maps in this process; no worker is started."""
+
+        def __init__(self, max_workers):
+            made.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    path = rewrite("im_2kw", tmp_path, lambda d: d["sweep"].update(workers=workers))
+    out_dir = tmp_path / "runs"
+    assert main(["sweep", "--config", path, "--out", str(out_dir), "--quiet"]) == EXIT_OK
+    assert made == [started]
+    assert len(list(out_dir.glob("*.csv"))) == 3
 
 
 def test_sweep_requires_section(tmp_path, capsys):

@@ -44,7 +44,7 @@ CASES = [
     ),
     ("linear_ipm", {"model.n_p": DELETE}, "model.n_p: required key is missing"),
     ("linear_ipm", {"model.n_p": 1.5}, "model.n_p: expected an integer, got 1.5"),
-    ("linear_ipm", {"model.n_p": 0}, "model: kinetic_coeff must be positive"),
+    ("linear_ipm", {"model.n_p": 0}, "model: n_p must be a positive integer"),
     ("linear_ipm", {"model.R_s": DELETE}, "model.R_s: required key is missing"),
     ("linear_ipm", {"model.R_s": "x"}, "model.R_s: expected a number, got 'x'"),
     ("linear_ipm", {"model.R_s": -1}, "model: R_s must be non-negative"),
@@ -183,7 +183,7 @@ CASES = [
     (
         "harmonic_ipm",
         {"model.harmonics[0].a": {"5,0": 1.0}},
-        "model: coefficient (5,0): total degree 5 exceeds the cap 4",
+        "model.harmonics[0].a: coefficient (5,0): total degree 5 exceeds the cap 4",
     ),
     (
         "harmonic_ipm",
@@ -422,6 +422,12 @@ def test_oversized_integer_exits_1_naming_the_key(config, key, value, tmp_path, 
 def test_zero_pole_pairs_under_the_reciprocal_convention_exits_1(tmp_path, capsys):
     raw = _changed("linear_ipm", {"model.n_p": 0, "model.kinetic_convention": "reciprocal"})
     assert _cli(raw, tmp_path, capsys) == (EXIT_CONFIG, "error: model: n_p must be a positive integer\n")
+
+
+@pytest.mark.parametrize("dt, t_end", [(5.0e-324, 1.0), (1.0e-300, 1.0e300)], ids=["dt=5e-324", "t_end=1e300"])
+def test_an_overflowing_step_count_exits_1_naming_the_ratio(dt, t_end, tmp_path, capsys):
+    raw = _changed("linear_ipm", {"sim.dt": dt, "sim.t_end": t_end})
+    assert _cli(raw, tmp_path, capsys) == (EXIT_CONFIG, "error: sim: t_end / dt must be finite\n")
 
 
 @pytest.mark.parametrize("kinetic", [{"inertia": 4.8e-4}, {"inertia": None, "kinetic_coeff": 2.0}])

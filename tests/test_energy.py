@@ -158,6 +158,13 @@ def test_kinetic_conventions():
         kinetic_coefficient(-1.0, n_p)
 
 
+@pytest.mark.parametrize("convention", ["mechanical", "reciprocal"])
+@pytest.mark.parametrize("n_p", [0, -2])
+def test_kinetic_coefficient_rejects_pole_pairs_below_one(convention, n_p):
+    with pytest.raises(ValueError, match="n_p must be a positive integer"):
+        kinetic_coefficient(1.2e-3, n_p, convention)
+
+
 def test_parameter_validation():
     with pytest.raises(ValueError):
         LinearPmsmParams(-1e-3, 1e-3, 0.1, 100.0, 3)
