@@ -68,8 +68,10 @@ from .energy import (
     _factory,
     _made,
     _require_finite,
+    _shared,
+    _time_steps,
 )
-from .induction import ImParams, _model
+from .induction import ImEnergy, ImParams
 
 __all__ = [
     "SimConfig",
@@ -115,7 +117,10 @@ class SimulationError(RuntimeError):
 
     def __init__(self, message: str, t: float):
         super().__init__(f"{message} at t={t:.9g} s")
-        self.t = t
+        self._message, self.t = message, t
+
+    def __reduce__(self):  # a pool worker's failure reaches the parent intact
+        return type(self), (self._message, self.t)
 
 
 @dataclass(frozen=True)
@@ -195,34 +200,39 @@ class SinusoidVoltage:
         ]
 
 
-def _as_float_tuples(table) -> None:
-    """Make every field of a table drive a tuple of floats, then check them finite.
+class _Table:
+    """Piecewise-constant drive: field ``times``, then value fields of one entry per time.
 
-    The drive then holds no caller's list: it stays as validated, and it hashes.
+    Every field becomes a tuple of floats, so the drive holds no caller's
+    list: it stays as validated, and it hashes.
     """
-    for f in fields(table):
-        object.__setattr__(table, f.name, tuple(float(v) for v in getattr(table, f.name)))
-    _require_finite(table)
+
+    _mismatch = ""  # the error of a value field not as long as the time grid
+
+    def __post_init__(self):
+        for f in fields(self):
+            object.__setattr__(self, f.name, tuple(float(v) for v in getattr(self, f.name)))
+        _require_finite(self)
+        _time_steps(self.times, "times", "times must be non-empty and strictly increasing", min_size=1)
+        if any(len(getattr(self, f.name)) != len(self.times) for f in fields(self)[1:]):
+            raise ValueError(self._mismatch)
+
+    def _index(self, t: float) -> int:
+        return max(bisect.bisect_right(self.times, t) - 1, 0)
 
 
 @dataclass(frozen=True)
-class TableVoltage:
+class TableVoltage(_Table):
     """Piecewise-constant voltage; value k holds from times[k] to times[k+1]."""
 
     times: Tuple[float, ...]
     u_d: Tuple[float, ...]
     u_q: Tuple[float, ...]
 
-    def __post_init__(self):
-        _as_float_tuples(self)
-        t = np.asarray(self.times, dtype=float)
-        if t.size == 0 or np.any(np.diff(t) <= 0.0):
-            raise ValueError("times must be non-empty and strictly increasing")
-        if len(self.u_d) != t.size or len(self.u_q) != t.size:
-            raise ValueError("voltage tables must match the time grid")
+    _mismatch = "voltage tables must match the time grid"
 
     def __call__(self, t: float) -> Tuple[float, float]:
-        k = max(bisect.bisect_right(self.times, t) - 1, 0)
+        k = self._index(t)
         return (self.u_d[k], self.u_q[k])
 
 
@@ -252,22 +262,16 @@ class LinearLoad:
 
 
 @dataclass(frozen=True)
-class TableLoad:
+class TableLoad(_Table):
     """Piecewise-constant load torque over time."""
 
     times: Tuple[float, ...]
     torque: Tuple[float, ...]
 
-    def __post_init__(self):
-        _as_float_tuples(self)
-        t = np.asarray(self.times, dtype=float)
-        if t.size == 0 or np.any(np.diff(t) <= 0.0):
-            raise ValueError("times must be non-empty and strictly increasing")
-        if len(self.torque) != t.size:
-            raise ValueError("torque table must match the time grid")
+    _mismatch = "torque table must match the time grid"
 
     def __call__(self, t: float, omega: float) -> float:
-        return self.torque[max(bisect.bisect_right(self.times, t) - 1, 0)]
+        return self.torque[self._index(t)]
 
 
 @dataclass(frozen=True)
@@ -351,9 +355,7 @@ class Trajectory:
 
     def flux(self) -> np.ndarray:
         """Flux vectors, shape (n, 2) or (n, 4) depending on the machine."""
-        cols = ["phi_d", "phi_q"]
-        if "phi_rd" in self.columns:
-            cols += ["phi_rd", "phi_rq"]
+        cols = _FLUX_NAMES[: 4 if "phi_rd" in self.columns else 2]
         return np.stack([self.column(c) for c in cols], axis=-1)
 
     def write_csv(self, path) -> None:
@@ -390,6 +392,10 @@ def _resistances(model: EnergyModel) -> Tuple[float, float]:
     except AttributeError:
         raise TypeError("model must expose params.R_s to be simulated") from None
     return R_s, R_r
+
+
+# the generated code's expression of each record column that is not a name in it
+_ROW = {"torque": "te", "load": "t_load", "theta_s": "omega_s * t"}
 
 
 def _functions(model: EnergyModel, voltage, load, omega_s, dt, method: str, outside) -> dict:
@@ -506,10 +512,8 @@ def _compile_functions(model: EnergyModel, env: dict, voltage_lines, pure: bool,
         advance += [*slip, *(f"k{k}_{j} = {e}" for j, e in enumerate(slopes))]
     # the new state is also the start of the next step
     advance += [f"{v}0 = {v} = {e}" for v, e in zip(state, new_state)]
-    row = ["t", "theta", "rho", "omega", "phi_d", "phi_q", "i_d", "i_q", "u_d", "u_q", "te", "t_load"]
-    if model.flux_dim == 4:
-        row += ["phi_rd", "phi_rq", "i_rd", "i_rq", "omega_s * t"]
-    row = f"[{', '.join(row)}]"
+    columns = IM_COLUMNS if model.flux_dim == 4 else PMSM_COLUMNS
+    row = f"[{', '.join(_ROW.get(c, c) for c in columns)}]"
     unpack = f"{', '.join(state)} = state"
     start = f"{', '.join(v + '0' for v in state)} = state"
     finite = " or ".join(f"{v} - {v} != 0.0" for v in state)
@@ -633,7 +637,7 @@ def simulate_im(
     """
     if np.asarray(state0.phi).shape != (4,):
         raise ValueError("initial flux must stack stator and rotor pairs (4 components)")
-    return simulate(_model(p), state0, drive, cfg)
+    return simulate(_shared(ImEnergy, p), state0, drive, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -673,9 +677,7 @@ def _cumsimpson(p: np.ndarray, t: np.ndarray) -> np.ndarray:
     stay below the rk4 trajectory error, otherwise the residual of
     :func:`power_balance` measures this function instead of the integrator.
     """
-    h = np.diff(t)
-    if np.any(h <= 0.0):
-        raise ValueError("sample times must be strictly increasing")
+    h = _time_steps(t, "t", "sample times must be strictly increasing")
     forward = _simpson_pieces(p, h)
     backward = _simpson_pieces(p[::-1], h[::-1])[::-1]
     pieces = np.empty(h.size)

@@ -32,7 +32,7 @@ import math
 import types
 import warnings
 from dataclasses import dataclass, fields
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -181,6 +181,51 @@ def _require_finite(record) -> None:
                     raise ValueError(f"{f.name}[{k}] must be finite, got {v}")
         elif not math.isfinite(value):
             raise ValueError(f"{f.name} must be finite, got {value}")
+
+
+def _time_steps(t, name: str, message: str, min_size: int = 0) -> np.ndarray:
+    """The steps ``np.diff(t)`` of a time grid of finite, strictly increasing times.
+
+    A non-finite time is named as ``name[k]`` first: a NaN passes the order
+    check, as it compares False.  Fewer than ``min_size`` times or a step
+    <= 0 raises ValueError(``message``).
+    """
+    t = np.asarray(t, dtype=float)
+    finite = np.isfinite(t)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        raise ValueError(f"{name}[{k}] must be finite, got {float(t.flat[k])}")
+    steps = np.diff(t) if t.ndim else np.empty(0)
+    if t.size < min_size or np.any(steps <= 0.0):
+        raise ValueError(message)
+    return steps
+
+
+def _require_machine(p) -> None:
+    """The rules every machine record keeps after its own, checked in this order."""
+    if getattr(p, "phi_M", 0.0) < 0.0:
+        raise ValueError("phi_M must be non-negative")
+    if p.kinetic_coeff <= 0.0:
+        raise ValueError("kinetic_coeff must be positive")
+    if int(p.n_p) != p.n_p or p.n_p < 1:
+        raise ValueError("n_p must be a positive integer")
+    if p.R_s < 0.0:
+        raise ValueError("R_s must be non-negative")
+
+
+def _shared(cls, params):
+    """The model ``cls(params)`` the one-call front ends share, so its code compiles once.
+
+    Parameter sets share a model when they are equal with every zero of
+    the same sign: 0.0 == -0.0, yet a run with R_s = -0.0 may record zeros
+    of other signs than one with R_s = 0.0.
+    """
+    return _shared_model(cls, params, tuple(math.copysign(1.0, v) for v in vars(params).values()))
+
+
+@lru_cache(maxsize=16)
+def _shared_model(cls, params, signs: tuple):
+    return cls(params)
 
 
 def _num(v):
@@ -426,14 +471,7 @@ class LinearPmsmParams:
         _require_finite(self)
         if self.L_d <= 0.0 or self.L_q <= 0.0:
             raise ValueError("inductances must be positive")
-        if self.phi_M < 0.0:
-            raise ValueError("phi_M must be non-negative")
-        if self.kinetic_coeff <= 0.0:
-            raise ValueError("kinetic_coeff must be positive")
-        if int(self.n_p) != self.n_p or self.n_p < 1:
-            raise ValueError("n_p must be a positive integer")
-        if self.R_s < 0.0:
-            raise ValueError("R_s must be non-negative")
+        _require_machine(self)
 
 
 class PolynomialEnergy(EnergyModel):

@@ -15,7 +15,7 @@ in every frame.  Conventions:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -88,56 +88,48 @@ J3 = np.array(
 )
 
 
+class _Triple:
+    """Three components, the first three dataclass fields, as an array and back.
+
+    A field after them, the frame angle of :class:`RotTriple`, is a tag
+    that ``from_array`` takes after the array.
+    """
+
+    def as_array(self) -> np.ndarray:
+        return np.array([getattr(self, f.name) for f in fields(self)[:3]])
+
+    @classmethod
+    def from_array(cls, x, *tag):
+        first, second, third = np.asarray(x, dtype=float)
+        return cls(float(first), float(second), float(third), *map(float, tag))
+
+
 @dataclass(frozen=True)
-class PhaseTriple:
+class PhaseTriple(_Triple):
     """Quantity expressed per phase, (a, b, c)."""
 
     a: float
     b: float
     c: float
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.a, self.b, self.c])
-
-    @staticmethod
-    def from_array(x) -> "PhaseTriple":
-        a, b, c = np.asarray(x, dtype=float)
-        return PhaseTriple(float(a), float(b), float(c))
-
 
 @dataclass(frozen=True)
-class OrthTriple:
+class OrthTriple(_Triple):
     """Stationary-frame quantity, (alpha, beta, zero)."""
 
     alpha: float
     beta: float
     zero: float
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.alpha, self.beta, self.zero])
-
-    @staticmethod
-    def from_array(x) -> "OrthTriple":
-        al, be, ze = np.asarray(x, dtype=float)
-        return OrthTriple(float(al), float(be), float(ze))
-
 
 @dataclass(frozen=True)
-class RotTriple:
+class RotTriple(_Triple):
     """Rotating-frame quantity, (d, q, zero), tagged with the frame angle."""
 
     d: float
     q: float
     zero: float
     theta: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.d, self.q, self.zero])
-
-    @staticmethod
-    def from_array(x, theta: float) -> "RotTriple":
-        d, q, ze = np.asarray(x, dtype=float)
-        return RotTriple(float(d), float(q), float(ze), float(theta))
 
 
 def rotation(theta: float) -> np.ndarray:

@@ -33,6 +33,7 @@ from .energy import (
     _require_finite,
     _state_without_kernels,
     _table,
+    _time_steps,
     _zeros,
     torque,
 )
@@ -227,12 +228,7 @@ def neutral_voltage(model: HarmonicPmsmEnergy, t, theta, rho, phi=None, v_s0=0.0
     t = np.asarray(t, dtype=float)
     theta = np.asarray(theta, dtype=float)
     rho = np.asarray(rho, dtype=float)
-    # a NaN time would pass the ordering check on its own: NaN compares False
-    bad = np.flatnonzero(~np.isfinite(t))
-    if bad.size:
-        raise ValueError(f"t[{bad[0]}] must be finite, got {float(t.flat[bad[0]])}")
-    if t.size >= 2 and np.any(np.diff(t) <= 0.0):
-        raise ValueError("trajectory times must be strictly increasing")
+    _time_steps(t, "t", "trajectory times must be strictly increasing")
     if phi is None:
         phi = np.zeros(theta.shape + (2,))
     omega = model.d_rho(theta, rho, np.asarray(phi, dtype=float))

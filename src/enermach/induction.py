@@ -24,14 +24,12 @@ Each current is the table's sum of two monomials, e.g. i_sd =
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Tuple
 
 import numpy as np
 
-from .energy import PolynomialEnergy, _require_finite, torque
+from .energy import PolynomialEnergy, _require_finite, _require_machine, _shared, torque
 
 __all__ = [
     "ImParams",
@@ -72,10 +70,7 @@ class ImParams:
             )
         if self.R_s < 0.0 or self.R_r < 0.0:
             raise ValueError("resistances must be non-negative")
-        if self.kinetic_coeff <= 0.0:
-            raise ValueError("kinetic_coeff must be positive")
-        if int(self.n_p) != self.n_p or self.n_p < 1:
-            raise ValueError("n_p must be a positive integer")
+        _require_machine(self)
 
     @property
     def det(self) -> float:
@@ -111,24 +106,9 @@ class ImFlux:
         return ImFlux(v[..., 0:2], v[..., 2:4])
 
 
-def _model(p: ImParams) -> "ImEnergy":
-    """The model of ``p`` the front ends and ``simulate_im`` share, so its code compiles once.
-
-    Parameter sets share a model when they are equal with every zero of
-    the same sign: 0.0 == -0.0, yet a run with R_s = -0.0 may record zeros
-    of other signs than one with R_s = 0.0.
-    """
-    return _models(p, tuple(math.copysign(1.0, v) for v in vars(p).values()))
-
-
-@lru_cache(maxsize=8)
-def _models(p: ImParams, signs: tuple) -> "ImEnergy":
-    return ImEnergy(p)
-
-
 def im_currents(p: ImParams, f: ImFlux) -> Tuple[np.ndarray, np.ndarray]:
     """Stator and rotor currents from the flux pair."""
-    i = _model(p).d_flux(0.0, 0.0, f.as_vector())
+    i = _shared(ImEnergy, p).d_flux(0.0, 0.0, f.as_vector())
     return i[..., 0:2], i[..., 2:4]
 
 
@@ -141,7 +121,7 @@ def invert_currents(p: ImParams, i_s, i_r) -> ImFlux:
 
 def im_torque(p: ImParams, f: ImFlux) -> float:
     """Electromagnetic torque n_p * (i_sq*phi_sd - i_sd*phi_sq): :func:`torque` of the model."""
-    return torque(_model(p), 0.0, 0.0, f.as_vector())
+    return torque(_shared(ImEnergy, p), 0.0, 0.0, f.as_vector())
 
 
 class ImEnergy(PolynomialEnergy):

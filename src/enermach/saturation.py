@@ -22,7 +22,7 @@ scaled form, the config's coefficient keys and the design matrix of
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -30,9 +30,11 @@ from .energy import (
     PolynomialEnergy,
     SaturationRangeWarning,
     _compile,
-    _require_finite,
     _components,
     _d_flux_table,
+    _require_finite,
+    _require_machine,
+    _shared,
     _vector,
     _zeros,
 )
@@ -90,14 +92,7 @@ class SaturationCoefficients:
         _require_finite(self)
         if self.inv_L_d <= 0.0 or self.inv_L_q <= 0.0:
             raise ValueError("inverse inductances must be positive")
-        if self.phi_M < 0.0:
-            raise ValueError("phi_M must be non-negative")
-        if self.kinetic_coeff <= 0.0:
-            raise ValueError("kinetic_coeff must be positive")
-        if int(self.n_p) != self.n_p or self.n_p < 1:
-            raise ValueError("n_p must be a positive integer")
-        if self.R_s < 0.0:
-            raise ValueError("R_s must be non-negative")
+        _require_machine(self)
 
     @classmethod
     def from_scaled(
@@ -139,22 +134,16 @@ def _quartic_terms(c: SaturationCoefficients) -> dict:
     return {ij: factor * getattr(c, name) for name, _, ij, factor, _ in _QUARTIC}
 
 
-@lru_cache(maxsize=8)
-def _model(c: SaturationCoefficients) -> "SaturatedPmsmEnergy":
-    """The model of ``c`` the one-call front ends share, so its kernels compile once."""
-    return SaturatedPmsmEnergy(c)
-
-
 def saturated_currents(c: SaturationCoefficients, phi):
     """Currents (i_d, i_q) = dH_mag/dphi of the quartic model, shape (..., 2)."""
-    return _model(c).d_flux(0.0, 0.0, phi)
+    return _shared(SaturatedPmsmEnergy, c).d_flux(0.0, 0.0, phi)
 
 
 def incremental_inductance(c: SaturationCoefficients, phi):
     """Jacobian di/dphi of the quartic model, symmetric, shape (..., 2, 2), 1/H."""
     phi_d, y = _components(phi)
     x = phi_d - c.phi_M
-    dd, dq, qq = _model(c)._hessian_kernel(0.0, x, y, _zeros(x))
+    dd, dq, qq = _shared(SaturatedPmsmEnergy, c)._hessian_kernel(0.0, x, y, _zeros(x))
     return np.stack([_vector((dd, dq)), _vector((dq, qq))], axis=-2)
 
 

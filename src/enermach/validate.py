@@ -24,8 +24,8 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from .energy import EnergyModel
-from .induction import ImParams, im_energy
+from .energy import EnergyModel, _shared
+from .induction import ImEnergy, ImParams
 from .saturation import SaturationRangeWarning
 
 __all__ = [
@@ -274,7 +274,7 @@ def check_im_rotation(
     Accepts either :class:`ImParams` or any model with a stacked
     stator/rotor flux vector.
     """
-    m = im_energy(machine) if isinstance(machine, ImParams) else machine
+    m = _shared(ImEnergy, machine) if isinstance(machine, ImParams) else machine
     if m.flux_dim != 4:
         raise ValueError("rotation check applies to stacked stator/rotor flux models")
     rng, theta, rho, phi = _draw(m, box, seed, n_samples)
