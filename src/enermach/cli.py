@@ -23,13 +23,7 @@ import numpy as np
 from .config import ConfigError, MotorConfig, load_config
 from .dynamics import SimulationError, Trajectory, power_balance, simulate
 from .harmonics import ripple_torque
-from .identify import (
-    PARAM_NAMES,
-    RankDeficiencyError,
-    fit_saturation,
-    read_samples_csv,
-    report_scaled,
-)
+from .identify import RankDeficiencyError, fit_saturation, read_samples_csv, report_scaled
 from .validate import (
     check_im_rotation,
     check_parity,
@@ -92,10 +86,6 @@ def cmd_run(cfg: MotorConfig, args) -> int:
 
 def cmd_identify(cfg: MotorConfig, args) -> int:
     samples = read_samples_csv(args.samples)
-    if len(samples) < len(PARAM_NAMES):
-        raise ConfigError(
-            f"insufficient samples: need at least {len(PARAM_NAMES)}, got {len(samples)}"
-        )
     phi_M = cfg.identify["phi_M"]
     if phi_M is None:
         phi_M = float(getattr(cfg.model.params, "phi_M", 0.0))

@@ -55,7 +55,6 @@ __all__ = ["ConfigError", "MotorConfig", "load_config"]
 
 SCHEMA_VERSION = 1
 
-MODEL_KINDS = ("linear_pmsm", "synrm", "saturated_pmsm", "harmonic_pmsm", "linear_im")
 
 class ConfigError(ValueError):
     """Config rejected; the message carries the dotted key path."""
@@ -96,6 +95,13 @@ def _number(value, path: str) -> float:
     if not math.isfinite(number):
         raise _fail(path, f"expected a finite number, got {value!r}")
     return number
+
+
+def _positive(value, path: str) -> float:
+    number = _number(value, path)
+    _check(number > 0.0, path, f"expected a positive number, got {value!r}")
+    return number
+
 
 def _integer(value, path: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
@@ -229,6 +235,7 @@ _MODEL_KEYS = {
         ("linear_im", _INDUCTION),
     )
 }
+MODEL_KINDS = tuple(_MODEL_KEYS)
 
 
 def _build_model(block, path: str) -> EnergyModel:
@@ -274,9 +281,10 @@ _LOADS = {
 
 
 def _build_kind(block, path: str, kinds: Dict[str, Tuple[Callable, Dict]], noun: str):
-    """A drive part: ``kinds`` maps its ``kind`` (default ``constant``) to ``(class, keys)``."""
+    """A drive part: ``kinds`` maps its ``kind`` (``constant`` when missing or null) to ``(class, keys)``."""
     d = _as_mapping(block, path)
-    kind = d.pop("kind", "constant")
+    kind = d.pop("kind", None)
+    kind = "constant" if kind is None else kind
     _check(isinstance(kind, str) and kind in kinds, f"{path}.kind", f"unknown {noun} kind {kind!r}")
     make, keys = kinds[kind]
     return _build(make, path, **_read(d, path, keys))
@@ -321,7 +329,7 @@ def _build_initial(block, path: str, model: EnergyModel) -> MachineState:
 # ---------------------------------------------------------------------------
 # analysis sections
 
-_IDENTIFY = {"phi_M": (_number, None), "refine_phi_M": (_boolean, False)}
+_IDENTIFY = {"phi_M": (_positive, None), "refine_phi_M": (_boolean, False)}
 _RIPPLE = {
     "theta_min": (_number, 0.0),
     "theta_max": (_number, 2.0 * math.pi / 3.0),

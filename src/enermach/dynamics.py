@@ -164,6 +164,8 @@ class ConstantVoltage:
     u_d: float = 0.0
     u_q: float = 0.0
 
+    __post_init__ = _require_finite
+
     def __call__(self, t: float) -> Tuple[float, float]:
         return (self.u_d, self.u_q)
 
@@ -180,6 +182,8 @@ class SinusoidVoltage:
     freq_hz: float = 0.0
     phase_d: float = 0.0
     phase_q: float = 0.0
+
+    __post_init__ = _require_finite
 
     def __call__(self, t: float) -> Tuple[float, float]:
         w = 2.0 * math.pi * self.freq_hz * t
@@ -240,6 +244,8 @@ class TableVoltage(_Table):
 class ConstantLoad:
     torque: float = 0.0
 
+    __post_init__ = _require_finite
+
     def __call__(self, t: float, omega: float) -> float:
         return self.torque
 
@@ -253,6 +259,8 @@ class LinearLoad:
 
     torque_0: float = 0.0
     coeff: float = 0.0
+
+    __post_init__ = _require_finite
 
     def __call__(self, t: float, omega: float) -> float:
         return self.torque_0 + self.coeff * omega
@@ -276,10 +284,21 @@ class TableLoad(_Table):
 
 @dataclass(frozen=True)
 class Drive:
-    """Voltage source plus load torque."""
+    """Voltage source plus load torque.
+
+    A voltage pair becomes a :class:`ConstantVoltage` and a torque number a
+    :class:`ConstantLoad`.
+    """
 
     voltage: Callable[[float], Tuple[float, float]] = ConstantVoltage()
     load: Callable[[float, float], float] = ConstantLoad()
+
+    def __post_init__(self):
+        if not callable(self.voltage):
+            u_d, u_q = (float(v) for v in self.voltage)
+            object.__setattr__(self, "voltage", ConstantVoltage(u_d, u_q))
+        if not callable(self.load):
+            object.__setattr__(self, "load", ConstantLoad(float(self.load)))
 
 
 def _callee(fn):
@@ -304,19 +323,6 @@ def _drive_source(fn, env: dict, name: str, call: str) -> Tuple[list, bool]:
         return fn._source(env), True
     env[name] = _callee(fn)
     return [call], False
-
-
-def _as_voltage_fn(u) -> Callable[[float], Tuple[float, float]]:
-    if callable(u):
-        return u
-    u_d, u_q = (float(v) for v in u)
-    return ConstantVoltage(u_d, u_q)
-
-
-def _as_load_fn(load) -> Callable[[float, float], float]:
-    if callable(load):
-        return load
-    return ConstantLoad(float(load))
 
 
 # ---------------------------------------------------------------------------
@@ -552,6 +558,14 @@ def _state_vector(s: MachineState) -> list:
     return [float(s.theta), float(s.rho), *s.phi.tolist()]
 
 
+def _require_pmsm(m: EnergyModel, s: MachineState, caller: str) -> None:
+    """The single-winding front ends' rule: a two-component flux in the model and the state."""
+    if m.flux_dim != 2:
+        raise ValueError(f"{caller} handles two-component flux models")
+    if np.asarray(s.phi).shape != (2,):
+        raise ValueError("initial flux must have two components")
+
+
 def step_pmsm(
     m: EnergyModel,
     s: MachineState,
@@ -569,10 +583,10 @@ def step_pmsm(
     """
     if method not in _INTEGRATORS:
         raise ValueError(f"unknown integrator {method!r}")
-    if m.flux_dim != 2:
-        raise ValueError("step_pmsm handles two-component flux models")
+    _require_pmsm(m, s, "step_pmsm")
+    drive = Drive(u_dq, T_l)
     outside = _Excursions()
-    step, _ = _program(m, _as_voltage_fn(u_dq), _as_load_fn(T_l), 0.0, dt, method, outside)
+    step, _ = _program(m, drive.voltage, drive.load, 0.0, dt, method, outside)
     y1 = step(t, _state_vector(s))
     outside.warn(stacklevel=2)
     if not all(map(math.isfinite, y1)):
@@ -598,8 +612,7 @@ def simulate(m: EnergyModel, state0: MachineState, drive: Drive, cfg: SimConfig)
     check that.
     """
     outside = _Excursions()
-    drive_fns = _as_voltage_fn(drive.voltage), _as_load_fn(drive.load)
-    run = _functions(m, *drive_fns, cfg.omega_s, cfg.dt, cfg.integrator, outside)["run"]
+    run = _functions(m, drive.voltage, drive.load, cfg.omega_s, cfg.dt, cfg.integrator, outside)["run"]
     n = _n_steps(cfg)
     try:
         rows, failed = run(_state_vector(state0), zip(range(n), range(1, n + 1)), n, cfg.record_stride)
@@ -617,10 +630,7 @@ def simulate_pmsm(
     cfg: SimConfig,
 ) -> Trajectory:
     """Integrate the single-winding machine and record the trajectory (see :func:`simulate`)."""
-    if m.flux_dim != 2:
-        raise ValueError("simulate_pmsm handles two-component flux models")
-    if np.asarray(state0.phi).shape != (2,):
-        raise ValueError("initial flux must have two components")
+    _require_pmsm(m, state0, "simulate_pmsm")
     return simulate(m, state0, drive, cfg)
 
 

@@ -183,6 +183,16 @@ def _require_finite(record) -> None:
             raise ValueError(f"{f.name} must be finite, got {value}")
 
 
+def _finite_array(values, name: str) -> np.ndarray:
+    """``values`` as a float array; the first non-finite entry raises ValueError naming ``name[k]``."""
+    a = np.asarray(values, dtype=float)
+    finite = np.isfinite(a)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        raise ValueError(f"{name}[{k}] must be finite, got {float(a.flat[k])}")
+    return a
+
+
 def _time_steps(t, name: str, message: str, min_size: int = 0) -> np.ndarray:
     """The steps ``np.diff(t)`` of a time grid of finite, strictly increasing times.
 
@@ -190,11 +200,7 @@ def _time_steps(t, name: str, message: str, min_size: int = 0) -> np.ndarray:
     check, as it compares False.  Fewer than ``min_size`` times or a step
     <= 0 raises ValueError(``message``).
     """
-    t = np.asarray(t, dtype=float)
-    finite = np.isfinite(t)
-    if not finite.all():
-        k = int(np.argmin(finite))
-        raise ValueError(f"{name}[{k}] must be finite, got {float(t.flat[k])}")
+    t = _finite_array(t, name)
     steps = np.diff(t) if t.ndim else np.empty(0)
     if t.size < min_size or np.any(steps <= 0.0):
         raise ValueError(message)
@@ -654,15 +660,15 @@ _TORQUE = f"{_TORQUE_ANGLE} + {_TORQUE_CROSS}"
 _torque = eval(f"lambda n_p, h_theta, i_d, i_q, phi_d, phi_q: {_TORQUE}")
 
 
-def numeric_gradient(f, x, scale: float = 1.0e-6) -> np.ndarray:
+def numeric_gradient(f, x) -> np.ndarray:
     """Central-difference gradient of a scalar function at the point ``x``.
 
-    The step is ``scale * max(1, ||x||)`` applied per coordinate.  Meant as
+    The step is ``1e-6 * max(1, ||x||)`` applied per coordinate.  Meant as
     an independent cross-check of analytic derivatives, so it deliberately
     knows nothing about the function it probes.
     """
     x = np.asarray(x, dtype=float)
-    h = scale * max(1.0, float(np.linalg.norm(x)))
+    h = 1.0e-6 * max(1.0, float(np.linalg.norm(x)))
     g = np.empty_like(x)
     for k in range(x.size):
         step = np.zeros_like(x)
@@ -679,6 +685,8 @@ def kinetic_coefficient(inertia: float, pole_pairs: int, convention: str = "mech
     ``reciprocal`` convention kappa = 1 / (J * n_p**2) also circulates; it is
     accepted for interoperability.
     """
+    if not math.isfinite(inertia):
+        raise ValueError(f"inertia must be finite, got {inertia}")
     if inertia <= 0.0:
         raise ValueError("inertia must be positive")
     if pole_pairs < 1:

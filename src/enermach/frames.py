@@ -133,15 +133,10 @@ class RotTriple(_Triple):
 
 
 def rotation(theta: float) -> np.ndarray:
-    """3x3 rotation about the zero axis by ``theta``."""
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array(
-        [
-            [c, -s, 0.0],
-            [s, c, 0.0],
-            [0.0, 0.0, 1.0],
-        ]
-    )
+    """3x3 rotation about the zero axis by ``theta``: :func:`rotation2` on the first two axes."""
+    r = np.eye(3)
+    r[:2, :2] = rotation2(theta)
+    return r
 
 
 def rotation2(theta: float) -> np.ndarray:

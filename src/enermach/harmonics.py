@@ -30,6 +30,7 @@ from .energy import (
     PolynomialEnergy,
     _compile,
     _d_flux_table,
+    _finite_array,
     _require_finite,
     _state_without_kernels,
     _table,
@@ -37,7 +38,7 @@ from .energy import (
     _zeros,
     torque,
 )
-from .saturation import SaturationCoefficients, _quartic_terms
+from .saturation import SaturationCoefficients, _magnet_table
 
 __all__ = [
     "FluxPolynomial",
@@ -115,18 +116,13 @@ class HarmonicTerm:
     def __post_init__(self):
         if int(self.k) != self.k or self.k < 1:
             raise ValueError("harmonic index k must be a positive integer")
-        for (i, j), c in self.a_poly.coeffs.items():
-            if c != 0.0 and j % 2 != 0:
-                raise ValueError(
-                    f"a_poly[{i},{j}] of harmonic k={self.k}: cos amplitudes must "
-                    "have even powers of phi_q"
-                )
-        for (i, j), c in self.b_poly.coeffs.items():
-            if c != 0.0 and j % 2 != 1:
-                raise ValueError(
-                    f"b_poly[{i},{j}] of harmonic k={self.k}: sin amplitudes must "
-                    "have odd powers of phi_q"
-                )
+        for name, parity, trig, power in (("a_poly", 0, "cos", "even"), ("b_poly", 1, "sin", "odd")):
+            for (i, j), c in getattr(self, name).coeffs.items():
+                if c != 0.0 and j % 2 != parity:
+                    raise ValueError(
+                        f"{name}[{i},{j}] of harmonic k={self.k}: {trig} amplitudes must "
+                        f"have {power} powers of phi_q"
+                    )
 
 
 @dataclass(frozen=True)
@@ -183,11 +179,9 @@ class HarmonicPmsmEnergy(PolynomialEnergy):
 
     def __init__(self, model: HarmonicModel):
         self.harmonic_model = model
-        self.params = c = model.base
-        orders = [(0, _quartic_terms(c), {})]
-        orders += [(6.0 * t.k, t.a_poly.coeffs, t.b_poly.coeffs) for t in model.terms]
-        box = c.phi_M if c.phi_M > 0.0 else None
-        super().__init__(orders, c.phi_M, c.kinetic_coeff, c.n_p, box)
+        self.params = model.base
+        rows = [(6.0 * t.k, t.a_poly.coeffs, t.b_poly.coeffs) for t in model.terms]
+        super().__init__(*_magnet_table(model.base, rows))
 
 
 def harmonic_energy(m: HarmonicModel) -> HarmonicPmsmEnergy:
@@ -201,13 +195,13 @@ def ripple_torque(model: EnergyModel, theta_grid, rho, phi):
     The grid must span at least one ripple period pi/3 so periodicity and
     spectral claims can actually be checked on the result.
     """
-    theta_grid = np.asarray(theta_grid, dtype=float)
+    theta_grid = _finite_array(theta_grid, "theta_grid")
     if theta_grid.size < 2 or theta_grid.max() - theta_grid.min() < np.pi / 3.0 - 1e-12:
         raise ValueError("theta grid must span at least pi/3")
     return torque(model, theta_grid, rho, np.asarray(phi, dtype=float))
 
 
-def neutral_voltage(model: HarmonicPmsmEnergy, t, theta, rho, phi=None, v_s0=0.0):
+def neutral_voltage(model: HarmonicPmsmEnergy, t, theta, rho, v_s0=0.0):
     """Neutral-point voltage of a star-connected winding along a trajectory.
 
     The zero-axis flux is a function of rotor angle only, so its time
@@ -218,9 +212,9 @@ def neutral_voltage(model: HarmonicPmsmEnergy, t, theta, rho, phi=None, v_s0=0.0
         v_N = (v_s0 - dphi0/dt) / sqrt(3)
 
     Parameters are trajectory arrays: strictly increasing times ``t``,
-    rotor angles ``theta`` and momenta ``rho`` (``phi`` optional, used only
-    to evaluate the speed map).  ``v_s0`` is the zero-axis source voltage,
-    scalar or per-sample.
+    rotor angles ``theta`` and momenta ``rho``; the speed dH/drho does not
+    read the flux.  ``v_s0`` is the zero-axis source voltage, scalar or
+    per-sample.
     """
     series = model.harmonic_model.zero_axis
     if series is None:
@@ -229,8 +223,6 @@ def neutral_voltage(model: HarmonicPmsmEnergy, t, theta, rho, phi=None, v_s0=0.0
     theta = np.asarray(theta, dtype=float)
     rho = np.asarray(rho, dtype=float)
     _time_steps(t, "t", "trajectory times must be strictly increasing")
-    if phi is None:
-        phi = np.zeros(theta.shape + (2,))
-    omega = model.d_rho(theta, rho, np.asarray(phi, dtype=float))
+    omega = model.d_rho(theta, rho, np.zeros(theta.shape + (2,)))
     dphi0_dt = series.d_theta(theta) * omega
     return (np.asarray(v_s0, dtype=float) - dphi0_dt) / _SQRT_3

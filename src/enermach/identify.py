@@ -24,6 +24,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .dynamics import Trajectory
 from .energy import _compile, _d_flux_table, _require_finite, _table
 from .saturation import _QUARTIC, SaturationCoefficients, saturated_currents
 
@@ -132,23 +133,16 @@ def _assemble(samples: Sequence[FluxSample]):
     return phi_d, phi_q, b, np.sqrt(w)
 
 
-def fit_saturation(
-    samples: Sequence[FluxSample],
-    phi_M: float,
-    refine_phi_M: bool = False,
-    kinetic_coeff: float = 1.0,
-    n_p: int = 1,
-    R_s: float = 0.0,
-) -> FitResult:
+def fit_saturation(samples: Sequence[FluxSample], phi_M: float, refine_phi_M: bool = False) -> FitResult:
     """Fit the seven saturation parameters, optionally refining phi_M.
 
     Needs at least 7 samples spanning both flux axes; a layout that cannot
     see all parameter directions raises :class:`RankDeficiencyError` naming
-    the blind combinations.  The mechanical extras (kinetic_coeff, n_p, R_s)
-    are passed through into the returned coefficients untouched.
+    the blind combinations.  The fit is magnetic only: the returned
+    coefficients keep the mechanical defaults of :class:`SaturationCoefficients`.
     """
     if len(samples) < len(PARAM_NAMES):
-        raise ValueError(f"need at least {len(PARAM_NAMES)} samples, got {len(samples)}")
+        raise ValueError(f"insufficient samples: need at least {len(PARAM_NAMES)}, got {len(samples)}")
     phi_d, phi_q, b, sqrt_w = _assemble(samples)
 
     def solve_at(m: float):
@@ -191,11 +185,7 @@ def fit_saturation(
 
     try:
         coefficients = SaturationCoefficients(
-            phi_M=m,
-            kinetic_coeff=kinetic_coeff,
-            n_p=n_p,
-            R_s=R_s,
-            **{name: float(value) for name, value in zip(PARAM_NAMES, beta)},
+            phi_M=m, **{name: float(value) for name, value in zip(PARAM_NAMES, beta)}
         )
     except ValueError as e:
         raise ValueError(f"fit produced invalid coefficients: {e}") from e
@@ -295,9 +285,7 @@ def read_samples_csv(path) -> List[FluxSample]:
 
 
 def write_samples_csv(path, samples: Sequence[FluxSample], with_weight: bool = False) -> None:
-    with open(path, "w", newline="") as f:
-        cols = _CSV_BASE + (("weight",) if with_weight else ())
-        f.write(",".join(cols) + "\n")
-        for s in samples:
-            vals = [s.phi_d, s.phi_q, s.i_d, s.i_q] + ([s.weight] if with_weight else [])
-            f.write(",".join(f"{v:.17g}" for v in vals) + "\n")
+    """Write samples as a :class:`Trajectory` CSV, so they read back bit-identical."""
+    cols = _CSV_BASE + (("weight",) if with_weight else ())
+    rows = np.array([[getattr(s, c) for c in cols] for s in samples], dtype=float)
+    Trajectory(cols, rows.reshape(-1, len(cols))).write_csv(path)

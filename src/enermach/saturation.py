@@ -134,6 +134,16 @@ def _quartic_terms(c: SaturationCoefficients) -> dict:
     return {ij: factor * getattr(c, name) for name, _, ij, factor, _ in _QUARTIC}
 
 
+def _magnet_table(c: SaturationCoefficients, rows=()) -> tuple:
+    """The :class:`PolynomialEnergy` arguments of the quartic of ``c`` plus angle ``rows``.
+
+    The coefficients are trusted in the box |x|, |y| <= phi_M, and nowhere
+    without a magnet.
+    """
+    box = c.phi_M if c.phi_M > 0.0 else None
+    return [(0, _quartic_terms(c), {}), *rows], c.phi_M, c.kinetic_coeff, c.n_p, box
+
+
 def saturated_currents(c: SaturationCoefficients, phi):
     """Currents (i_d, i_q) = dH_mag/dphi of the quartic model, shape (..., 2)."""
     return _shared(SaturatedPmsmEnergy, c).d_flux(0.0, 0.0, phi)
@@ -151,9 +161,8 @@ class SaturatedPmsmEnergy(PolynomialEnergy):
     """Energy model built on :class:`SaturationCoefficients`."""
 
     def __init__(self, coefficients: SaturationCoefficients):
-        self.params = c = coefficients
-        box = c.phi_M if c.phi_M > 0.0 else None
-        super().__init__([(0, _quartic_terms(c), {})], c.phi_M, c.kinetic_coeff, c.n_p, box)
+        self.params = coefficients
+        super().__init__(*_magnet_table(coefficients))
 
     @cached_property
     def _hessian_kernel(self):

@@ -221,15 +221,14 @@ def check_reciprocity(
 
 def check_period(
     m: EnergyModel,
-    period: float = math.pi / 3.0,
     n_samples: int = 10_000,
     tol: float = 1.0e-10,
     seed: int = 0,
     box: Optional[SampleBox] = None,
 ) -> CheckReport:
-    """H(theta + period) == H(theta) at random states."""
+    """H(theta + pi/3) == H(theta) at random states: the ripple period of every magnet model."""
     _, theta, rho, phi = _draw(m, box, seed, n_samples)
-    return _identity("period", m, tol, theta, rho, phi, (theta + period, rho, phi))
+    return _identity("period", m, tol, theta, rho, phi, (theta + math.pi / 3.0, rho, phi))
 
 
 def check_parity(
