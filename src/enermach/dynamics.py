@@ -579,14 +579,16 @@ def step_pmsm(
 
     ``u_dq`` is a voltage pair or a callable of time; ``T_l`` a torque or a
     callable (t, omega).  Callables let the stage evaluations of rk4 see
-    the drive at the right instants.
+    the drive at the right instants.  ``dt`` and ``method`` keep the step
+    rule of :class:`SimConfig`; a non-finite start time ``t`` is named.
     """
-    if method not in _INTEGRATORS:
-        raise ValueError(f"unknown integrator {method!r}")
+    cfg = SimConfig(dt=dt, t_end=dt, integrator=method)
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {t}")
     _require_pmsm(m, s, "step_pmsm")
     drive = Drive(u_dq, T_l)
     outside = _Excursions()
-    step, _ = _program(m, drive.voltage, drive.load, 0.0, dt, method, outside)
+    step, _ = _program(m, drive.voltage, drive.load, cfg.omega_s, cfg.dt, cfg.integrator, outside)
     y1 = step(t, _state_vector(s))
     outside.warn(stacklevel=2)
     if not all(map(math.isfinite, y1)):

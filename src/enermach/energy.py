@@ -207,14 +207,19 @@ def _time_steps(t, name: str, message: str, min_size: int = 0) -> np.ndarray:
     return steps
 
 
+def _require_pole_pairs(n_p) -> None:
+    """The pole-pair rule: a positive integer, so NaN and +-inf fail too."""
+    if not (n_p >= 1 and n_p % 1 == 0):
+        raise ValueError("n_p must be a positive integer")
+
+
 def _require_machine(p) -> None:
     """The rules every machine record keeps after its own, checked in this order."""
     if getattr(p, "phi_M", 0.0) < 0.0:
         raise ValueError("phi_M must be non-negative")
     if p.kinetic_coeff <= 0.0:
         raise ValueError("kinetic_coeff must be positive")
-    if int(p.n_p) != p.n_p or p.n_p < 1:
-        raise ValueError("n_p must be a positive integer")
+    _require_pole_pairs(p.n_p)
     if p.R_s < 0.0:
         raise ValueError("R_s must be non-negative")
 
@@ -683,14 +688,13 @@ def kinetic_coefficient(inertia: float, pole_pairs: int, convention: str = "mech
     ``mechanical`` stores the true rotational energy (kappa = n_p**2 / J, so
     kappa*rho**2/2 equals J*omega_mech**2/2 with omega = kappa*rho).  The
     ``reciprocal`` convention kappa = 1 / (J * n_p**2) also circulates; it is
-    accepted for interoperability.
+    accepted for interoperability.  ``pole_pairs`` keeps the pole-pair rule.
     """
     if not math.isfinite(inertia):
         raise ValueError(f"inertia must be finite, got {inertia}")
     if inertia <= 0.0:
         raise ValueError("inertia must be positive")
-    if pole_pairs < 1:
-        raise ValueError("n_p must be a positive integer")
+    _require_pole_pairs(pole_pairs)
     if convention == "mechanical":
         return pole_pairs**2 / inertia
     if convention == "reciprocal":

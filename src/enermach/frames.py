@@ -146,18 +146,8 @@ def rotation2(theta: float) -> np.ndarray:
 
 
 def k_matrix(theta: float) -> np.ndarray:
-    """Combined phase-to-rotating-frame matrix, equal to rotation(theta).T @ CLARKE."""
-    c = math.cos
-    s = math.sin
-    t2 = theta - 2.0 * math.pi / 3.0
-    t4 = theta - 4.0 * math.pi / 3.0
-    return _SQRT_2_3 * np.array(
-        [
-            [c(theta), c(t2), c(t4)],
-            [-s(theta), -s(t2), -s(t4)],
-            [_INV_SQRT_2, _INV_SQRT_2, _INV_SQRT_2],
-        ]
-    )
+    """Combined phase-to-rotating-frame matrix: the composition rotation(theta).T @ CLARKE."""
+    return rotation(theta).T @ CLARKE
 
 
 def clarke(x: PhaseTriple) -> OrthTriple:

@@ -214,15 +214,16 @@ def neutral_voltage(model: HarmonicPmsmEnergy, t, theta, rho, v_s0=0.0):
     Parameters are trajectory arrays: strictly increasing times ``t``,
     rotor angles ``theta`` and momenta ``rho``; the speed dH/drho does not
     read the flux.  ``v_s0`` is the zero-axis source voltage, scalar or
-    per-sample.
+    per-sample.  ``t`` keeps the time-grid rule (``_time_steps``) and
+    ``theta``, ``rho``, ``v_s0`` the finite-array rule (``_finite_array``).
     """
     series = model.harmonic_model.zero_axis
     if series is None:
         raise ValueError("model has no zero-axis flux map")
-    t = np.asarray(t, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    rho = np.asarray(rho, dtype=float)
     _time_steps(t, "t", "trajectory times must be strictly increasing")
+    theta = _finite_array(theta, "theta")
+    rho = _finite_array(rho, "rho")
+    v_s0 = _finite_array(v_s0, "v_s0")
     omega = model.d_rho(theta, rho, np.zeros(theta.shape + (2,)))
     dphi0_dt = series.d_theta(theta) * omega
-    return (np.asarray(v_s0, dtype=float) - dphi0_dt) / _SQRT_3
+    return (v_s0 - dphi0_dt) / _SQRT_3
