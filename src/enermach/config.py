@@ -323,7 +323,7 @@ def _build_initial(block, path: str, model: EnergyModel) -> MachineState:
         phi = np.zeros(model.flux_dim)
         phi[0] = float(getattr(model.params, "phi_M", 0.0))
     _check(len(phi) == model.flux_dim, f"{path}.phi", f"expected {model.flux_dim} components")
-    return MachineState(s["theta"], 0.0 if rho is None else rho, phi)
+    return _build(MachineState, path, theta=s["theta"], rho=0.0 if rho is None else rho, phi=phi)
 
 
 # ---------------------------------------------------------------------------

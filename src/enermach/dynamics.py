@@ -68,6 +68,7 @@ from .energy import (
     _factory,
     _made,
     _require_finite,
+    _require_whole,
     _shared,
     _time_steps,
 )
@@ -151,8 +152,7 @@ class SimConfig:
             raise ValueError("t_end / dt must be finite")
         if self.integrator not in _INTEGRATORS:
             raise ValueError(f"unknown integrator {self.integrator!r}; use one of {_INTEGRATORS}")
-        if int(self.record_stride) != self.record_stride or self.record_stride < 1:
-            raise ValueError("record_stride must be a positive integer")
+        _require_whole(self.record_stride, 1, "record_stride must be a positive integer")
 
 
 # ---------------------------------------------------------------------------

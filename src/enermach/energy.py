@@ -207,10 +207,10 @@ def _time_steps(t, name: str, message: str, min_size: int = 0) -> np.ndarray:
     return steps
 
 
-def _require_pole_pairs(n_p) -> None:
-    """The pole-pair rule: a positive integer, so NaN and +-inf fail too."""
-    if not (n_p >= 1 and n_p % 1 == 0):
-        raise ValueError("n_p must be a positive integer")
+def _require_whole(value, least: int, message: str) -> None:
+    """The count rule: a whole number >= ``least``, so not NaN, +-inf or 2.5, else ValueError(``message``)."""
+    if not (value >= least and value % 1 == 0):
+        raise ValueError(message)
 
 
 def _require_machine(p) -> None:
@@ -219,7 +219,7 @@ def _require_machine(p) -> None:
         raise ValueError("phi_M must be non-negative")
     if p.kinetic_coeff <= 0.0:
         raise ValueError("kinetic_coeff must be positive")
-    _require_pole_pairs(p.n_p)
+    _require_whole(p.n_p, 1, "n_p must be a positive integer")
     if p.R_s < 0.0:
         raise ValueError("R_s must be non-negative")
 
@@ -688,26 +688,29 @@ def kinetic_coefficient(inertia: float, pole_pairs: int, convention: str = "mech
     ``mechanical`` stores the true rotational energy (kappa = n_p**2 / J, so
     kappa*rho**2/2 equals J*omega_mech**2/2 with omega = kappa*rho).  The
     ``reciprocal`` convention kappa = 1 / (J * n_p**2) also circulates; it is
-    accepted for interoperability.  ``pole_pairs`` keeps the pole-pair rule.
+    accepted for interoperability.  ``pole_pairs`` is a count <= 2**53.
     """
     if not math.isfinite(inertia):
         raise ValueError(f"inertia must be finite, got {inertia}")
     if inertia <= 0.0:
         raise ValueError("inertia must be positive")
-    _require_pole_pairs(pole_pairs)
-    if convention == "mechanical":
-        return pole_pairs**2 / inertia
-    if convention == "reciprocal":
-        return 1.0 / (inertia * pole_pairs**2)
-    raise ValueError(f"unknown kinetic convention {convention!r}")
+    _require_whole(pole_pairs, 1, "n_p must be a positive integer")
+    if pole_pairs > 2**53:
+        raise ValueError(f"n_p must be at most 2**53, got {pole_pairs}")
+    if convention not in ("mechanical", "reciprocal"):
+        raise ValueError(f"unknown kinetic convention {convention!r}")
+    kappa = pole_pairs**2 / inertia if convention == "mechanical" else 1.0 / (inertia * pole_pairs**2)
+    if not math.isfinite(kappa):
+        raise ValueError(f"inertia {inertia} with n_p = {pole_pairs} overflows kappa to {kappa}")
+    return kappa
 
 
 @dataclass(frozen=True, eq=False)
 class MachineState:
     """Instantaneous state (theta, rho, phi) of a machine.
 
-    ``phi`` is a read-only copy of the flux given.  States compare field by
-    field, the flux by value (:func:`numpy.array_equal`), and hash alike.
+    ``phi`` is a read-only copy of the flux given; a non-finite field is named.  States
+    compare field by field, the flux by value (:func:`numpy.array_equal`), and hash alike.
     """
 
     theta: float
@@ -718,6 +721,7 @@ class MachineState:
         phi = np.array(self.phi, dtype=float)
         phi.flags.writeable = False
         object.__setattr__(self, "phi", phi)
+        _require_finite(self)
 
     def __eq__(self, other):
         if type(other) is not type(self):

@@ -32,6 +32,7 @@ from .energy import (
     _d_flux_table,
     _finite_array,
     _require_finite,
+    _require_whole,
     _state_without_kernels,
     _table,
     _time_steps,
@@ -66,10 +67,9 @@ class FluxPolynomial:
 
     def __post_init__(self):
         clean = {}
-        for key, c in dict(self.coeffs).items():
-            i, j = key
-            if i < 0 or j < 0 or int(i) != i or int(j) != j:
-                raise ValueError(f"coefficient ({i},{j}): exponents must be non-negative integers")
+        for (i, j), c in dict(self.coeffs).items():
+            for e in (i, j):
+                _require_whole(e, 0, f"coefficient ({i},{j}): exponents must be non-negative integers")
             if i + j > _MAX_DEGREE:
                 raise ValueError(
                     f"coefficient ({i},{j}): total degree {i + j} exceeds the cap {_MAX_DEGREE}"
@@ -97,8 +97,7 @@ class FluxPolynomial:
     def grad(self, x, y):
         """(d/dx, d/dy), each broadcast like the inputs."""
         x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-        gx, gy = self._grad_kernel(0.0, x, y, _zeros(x, y))
-        return gx, gy
+        return self._grad_kernel(0.0, x, y, _zeros(x, y))
 
 
 @dataclass(frozen=True)
@@ -114,8 +113,7 @@ class HarmonicTerm:
     b_poly: FluxPolynomial = field(default_factory=lambda: FluxPolynomial({}))
 
     def __post_init__(self):
-        if int(self.k) != self.k or self.k < 1:
-            raise ValueError("harmonic index k must be a positive integer")
+        _require_whole(self.k, 1, "harmonic index k must be a positive integer")
         for name, parity, trig, power in (("a_poly", 0, "cos", "even"), ("b_poly", 1, "sin", "odd")):
             for (i, j), c in getattr(self, name).coeffs.items():
                 if c != 0.0 and j % 2 != parity:
@@ -214,8 +212,8 @@ def neutral_voltage(model: HarmonicPmsmEnergy, t, theta, rho, v_s0=0.0):
     Parameters are trajectory arrays: strictly increasing times ``t``,
     rotor angles ``theta`` and momenta ``rho``; the speed dH/drho does not
     read the flux.  ``v_s0`` is the zero-axis source voltage, scalar or
-    per-sample.  ``t`` keeps the time-grid rule (``_time_steps``) and
-    ``theta``, ``rho``, ``v_s0`` the finite-array rule (``_finite_array``).
+    per-sample.  ``t`` keeps the time-grid rule (``_time_steps``), ``theta``,
+    ``rho``, ``v_s0`` the finite-array rule, and a sample overflowing v_N is named.
     """
     series = model.harmonic_model.zero_axis
     if series is None:
@@ -224,6 +222,8 @@ def neutral_voltage(model: HarmonicPmsmEnergy, t, theta, rho, v_s0=0.0):
     theta = _finite_array(theta, "theta")
     rho = _finite_array(rho, "rho")
     v_s0 = _finite_array(v_s0, "v_s0")
-    omega = model.d_rho(theta, rho, np.zeros(theta.shape + (2,)))
-    dphi0_dt = series.d_theta(theta) * omega
-    return (v_s0 - dphi0_dt) / _SQRT_3
+    with np.errstate(over="ignore", invalid="ignore"):  # dphi0/dt = phi0'(theta) * omega may overflow
+        v_n = (v_s0 - series.d_theta(theta) * model.d_rho(theta, rho, np.zeros(theta.shape + (2,)))) / _SQRT_3
+    if not np.all(np.isfinite(v_n)):
+        raise ValueError(f"theta or rho overflows v_N at sample {np.argmin(np.isfinite(v_n))}")
+    return v_n

@@ -24,7 +24,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from .energy import EnergyModel, _shared
+from .energy import EnergyModel, _require_whole, _shared
 from .induction import ImEnergy, ImParams
 from .saturation import SaturationRangeWarning
 
@@ -88,8 +88,8 @@ class SampleBox:
             raise ValueError("box half-widths must be positive")
 
     def draw(self, rng: np.random.Generator, n: int):
-        if n < 1:
-            raise ValueError(f"n_samples must be at least 1, got {n!r}")
+        _require_whole(n, 1, f"n_samples must be a positive integer, got {n!r}")
+        n = int(n)
         phi = rng.uniform(-1.0, 1.0, (n, self.phi_center.size))
         for col, center, half in zip(phi.T, self.phi_center.flat, self.phi_half.flat):
             col *= half
@@ -190,11 +190,11 @@ def check_reciprocity(
     h = fd_step * np.maximum(1.0, np.sqrt(norm2))
     steps = np.stack([h, 2.0 * h])
     block = _BLOCK // dim**2
-    jac = np.empty((dim, dim, n_samples))  # [j, k, sample] = di_k/dphi_j
+    jac = np.empty((dim, dim, theta.size))  # [j, k, sample] = di_k/dphi_j
     # the probe steps straddle the box edge by 2h; that is intended here
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", SaturationRangeWarning)
-        for lo in range(0, n_samples, block):
+        for lo in range(0, theta.size, block):
             blk = slice(lo, lo + block)
             step = steps[:, blk]
             # probes[k, sign, r, j]: component k of phi +/- step[r] along j, +/- 0.0 along the others
@@ -212,7 +212,7 @@ def check_reciprocity(
 
     # |J_jk - J_kj| is |J_kj - J_jk|; the diagonal keeps a non-finite J_jj as
     # nan.  max |J| is max(max J, -min J), with no |J| array
-    per_point, diff = np.zeros(n_samples), np.empty(n_samples)
+    per_point, diff = np.zeros(theta.size), np.empty(theta.size)
     for j in range(dim):
         for k in range(j, dim):
             np.maximum(per_point, np.abs(np.subtract(jac[j, k], jac[k, j], out=diff), out=diff), out=per_point)
@@ -277,7 +277,7 @@ def check_im_rotation(
     if m.flux_dim != 4:
         raise ValueError("rotation check applies to stacked stator/rotor flux models")
     rng, theta, rho, phi = _draw(m, box, seed, n_samples)
-    eta = rng.uniform(-math.pi, math.pi, n_samples)
+    eta = rng.uniform(-math.pi, math.pi, theta.size)
     c, s = np.cos(eta), np.sin(eta)
     rot = np.empty_like(phi)
     rot[:, 0] = c * phi[:, 0] - s * phi[:, 1]

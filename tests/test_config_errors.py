@@ -460,3 +460,15 @@ def _built(raw) -> tuple:
 )
 def test_optional_key_given_as_null_reads_as_its_default(config, key, default):
     assert _built(_changed(config, {key: None})) == _built(_changed(config, {key: default}))
+
+
+def test_an_inertia_that_overflows_kappa_is_named():
+    raw = _changed("linear_ipm", {"model.inertia": 5.0e-324})
+    with pytest.raises(ConfigError, match=r"^model: inertia 5e-324 with n_p = 3 overflows kappa to inf$"):
+        MotorConfig(raw)
+
+
+def test_an_initial_speed_that_overflows_rho_is_named():
+    raw = _changed("linear_ipm", {"model.inertia": DELETE, "model.kinetic_coeff": 0.5, "initial.omega": 1.0e308})
+    with pytest.raises(ConfigError, match="^initial: rho must be finite, got inf$"):
+        MotorConfig(raw)
