@@ -179,8 +179,7 @@ def _override_key(raw: dict, dotted: str, value) -> dict:
 
 
 def _sweep_worker(payload):
-    raw, out_path = payload
-    cfg = MotorConfig(raw)
+    cfg, out_path = payload
     traj = simulate(cfg.model, cfg.initial, cfg.drive, cfg.sim)
     traj.write_csv(out_path)
     return out_path, len(traj)
@@ -194,12 +193,9 @@ def cmd_sweep(cfg: MotorConfig, args) -> int:
     workers = cfg.sweep["workers"]
     out_dir, stem = _out_dir(args.out), Path(args.config).stem
 
-    # validate all points before launching anything
-    payloads = []
-    for k, value in enumerate(values):
-        raw = _override_key(cfg.raw, parameter, value)
-        MotorConfig(raw)
-        payloads.append((raw, str(out_dir / f"{stem}_sweep_{k:03d}.csv")))
+    # validate all points before launching anything; a pool worker gets its point pickled
+    points = [MotorConfig(_override_key(cfg.raw, parameter, value)) for value in values]
+    payloads = [(point, str(out_dir / f"{stem}_sweep_{k:03d}.csv")) for k, point in enumerate(points)]
 
     if workers == 1:
         results = [_sweep_worker(p) for p in payloads]

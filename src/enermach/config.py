@@ -34,6 +34,7 @@ from .dynamics import (
     TableVoltage,
 )
 from .energy import (
+    _COUNT_MAX,
     EnergyModel,
     LinearPmsmParams,
     MachineState,
@@ -111,7 +112,7 @@ def _integer(value, path: str) -> int:
 
 def _float_integer(value, path: str) -> int:
     """An integer that the models compute with as a float (n_p, k), so at most 2**53 in size."""
-    _check(abs(_integer(value, path)) <= 2**53, path, "expected an integer of magnitude at most 2**53")
+    _check(abs(_integer(value, path)) <= _COUNT_MAX, path, "expected an integer of magnitude at most 2**53")
     return value
 
 

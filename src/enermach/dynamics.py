@@ -15,17 +15,16 @@ Euler), so a run is a pure function of its inputs; repeating one bit for
 bit is the baseline determinism guarantee.  Each model, drive and
 integrator gets generated Python code (:func:`_functions`): a whole run
 with its time loop, its record rows and its finiteness test, and from the
-same lines one function for a single step and one for a record row.  The
-model's evaluation, the torque, the state equations and the stage updates
-are written out, and so are the drive kinds that are plain arithmetic
-(constant and sinusoid voltages, constant and linear loads); a table drive
-or any other callable is called at every stage.  The code depends on the
-model's structure and the drive kinds, not on their parameters, and is
-compiled once per process.  It holds only the arithmetic the structure
-needs, by identities that change no bit: no angle term and no stage
-update of theta for an angle-free model, phi_d itself where phi_M = 0, no
-stage time where nothing reads it (:func:`_compile_functions` lists them
-all).
+same lines one function for a single step.  The model's evaluation, the
+torque, the state equations and the stage updates are written out, and so
+are the drive kinds that are plain arithmetic (constant and sinusoid
+voltages, constant and linear loads); a table drive or any other callable
+is called at every stage.  The code depends on the model's structure and
+the drive kinds, not on their parameters, and is compiled once per process.
+It holds only the arithmetic the structure needs, by identities that change
+no bit: no angle term and no stage update of theta for an angle-free model,
+phi_d itself where phi_M = 0, no stage time where nothing reads it
+(:func:`_compile_functions` lists them all).
 
 The drive's parameters, omega_s and dt are bound afresh for each run, so
 a model can keep the compiled code of its drive kinds and integrators
@@ -331,6 +330,12 @@ def _drive_source(fn, env: dict, name: str, call: str) -> Tuple[list, bool]:
 _CSV_ROWS = 64  # rows formatted per write by Trajectory.write_csv
 
 
+def _data_lines(path) -> list:
+    """(number, text) of each line after the header that np.loadtxt reads as a row: it skips empty lines."""
+    with open(path, "r", newline="") as f:  # like loadtxt, ends a line at \r, \n or \r\n
+        return [(n, line) for n, line in enumerate(f, start=1) if n > 1 and line.strip("\r\n")]
+
+
 class Trajectory:
     """Column-oriented record of a simulation, CSV-faithful.
 
@@ -376,18 +381,30 @@ class Trajectory:
 
     @classmethod
     def read_csv(cls, path) -> "Trajectory":
+        """Read what :meth:`write_csv` writes, with no comments; a bad line is ``ValueError("{path}: line N: ...")``."""
         with open(path, "r", newline="") as f:
-            header = f.readline().strip()
-            columns = tuple(header.split(","))
+            header = f.readline()
+            columns = tuple(name.strip() for name in header.split(",")) if header else ()
             start = f.tell()
             empty = not f.read(1)
             f.seek(start)
-            data = np.empty((0, len(columns))) if empty else np.loadtxt(f, delimiter=",", ndmin=2)
-        return cls(columns, data)
+            try:  # cls rejects rows of another width than the header's
+                data = np.empty((0, len(columns))) if empty else np.loadtxt(f, delimiter=",", comments=None, ndmin=2)
+                return cls(columns, data)
+            except ValueError:
+                for n, line in _data_lines(path):
+                    got = line.count(",") + 1
+                    if got != len(columns):
+                        raise ValueError(f"{path}: line {n}: expected {len(columns)} fields, got {got}") from None
+                    try:
+                        np.loadtxt([line], delimiter=",", comments=None)
+                    except ValueError:
+                        raise ValueError(f"{path}: line {n}: non-numeric field") from None
+                raise
 
 
 # ---------------------------------------------------------------------------
-# the simulator: one generated run, step and record function
+# the simulator: one generated run and step function
 
 
 def _resistances(model: EnergyModel) -> Tuple[float, float]:
@@ -405,17 +422,16 @@ _ROW = {"torque": "te", "load": "t_load", "theta_s": "omega_s * t"}
 
 
 def _functions(model: EnergyModel, voltage, load, omega_s, dt, method: str, outside) -> dict:
-    """The generated ``step``, ``record`` and ``run`` of one model, drive and integrator.
+    """The generated ``step`` and ``run`` of one model, drive and integrator.
 
     The state is theta, rho and the flux components, as Python floats.
     ``step(t, state) -> state`` advances a state list by one rk4 or Euler
-    step of ``dt``; ``record(t, state) -> row`` builds the record row at a
-    state.  ``run(state, ks, n, stride) -> (rows, k1)`` is a whole run of
-    ``n`` steps, numbered ``(k, k + 1)`` by ``ks``, with the state in local
-    floats and the rows of the start, of every ``stride``-th step and of
-    the last one built inline.  It stops after the first step with a
+    step of ``dt``.  ``run(state, ks, n, stride) -> (rows, k1)`` is a whole
+    run of ``n`` steps, numbered ``(k, k + 1)`` by ``ks``, with the state
+    in local floats and the rows of the start, of every ``stride``-th step
+    and of the last one built inline.  It stops after the first step with a
     component ``v - v != 0.0`` (not finite) and returns that step's ``k1``,
-    else ``None``.  All three report box excursions to ``outside``.
+    else ``None``.  Both report box excursions to ``outside``.
 
     Every value the functions use is a name bound in their namespace,
     never printed: the resistances, ``omega_s``, ``dt``, ``outside`` and
@@ -526,7 +542,6 @@ def _compile_functions(model: EnergyModel, env: dict, voltage_lines, pure: bool,
     now = "t = ts" if clock else "t"
     functions = {
         "step(t, state)": [unpack, start, *advance, f"return [{', '.join(state)}]"],
-        "record(t, state)": [unpack, *(["ts = t"] if clock else []), *stage, f"return {row}"],
         "run(state, ks, n, stride)": [
             unpack,
             start,
@@ -546,12 +561,6 @@ def _compile_functions(model: EnergyModel, env: dict, voltage_lines, pure: bool,
         f"def {signature}:\n" + "".join(f"    {line}\n" for line in lines) for signature, lines in functions.items()
     )
     return _factory(source, env), {name: v for name, v in env.items() if name not in given}
-
-
-def _program(model: EnergyModel, voltage, load, omega_s, dt, method: str, outside):
-    """The generated ``step`` and ``record`` of :func:`_functions`."""
-    functions = _functions(model, voltage, load, omega_s, dt, method, outside)
-    return functions["step"], functions["record"]
 
 
 def _state_vector(s: MachineState) -> list:
@@ -588,7 +597,7 @@ def step_pmsm(
     _require_pmsm(m, s, "step_pmsm")
     drive = Drive(u_dq, T_l)
     outside = _Excursions()
-    step, _ = _program(m, drive.voltage, drive.load, cfg.omega_s, cfg.dt, cfg.integrator, outside)
+    step = _functions(m, drive.voltage, drive.load, cfg.omega_s, cfg.dt, cfg.integrator, outside)["step"]
     y1 = step(t, _state_vector(s))
     outside.warn(stacklevel=2)
     if not all(map(math.isfinite, y1)):

@@ -166,6 +166,7 @@ class _Excursions:
 
 
 _SEQUENCES = (tuple, list, np.ndarray)
+_COUNT_MAX = 2**53  # the largest count (n_p, a harmonic index k): a float holds every whole number up to it
 
 
 def _require_finite(record) -> None:
@@ -695,7 +696,7 @@ def kinetic_coefficient(inertia: float, pole_pairs: int, convention: str = "mech
     if inertia <= 0.0:
         raise ValueError("inertia must be positive")
     _require_whole(pole_pairs, 1, "n_p must be a positive integer")
-    if pole_pairs > 2**53:
+    if pole_pairs > _COUNT_MAX:
         raise ValueError(f"n_p must be at most 2**53, got {pole_pairs}")
     if convention not in ("mechanical", "reciprocal"):
         raise ValueError(f"unknown kinetic convention {convention!r}")

@@ -26,6 +26,7 @@ from typing import Mapping, Optional, Tuple
 import numpy as np
 
 from .energy import (
+    _COUNT_MAX,
     EnergyModel,
     PolynomialEnergy,
     _compile,
@@ -102,7 +103,7 @@ class FluxPolynomial:
 
 @dataclass(frozen=True)
 class HarmonicTerm:
-    """One angle harmonic of order 6k with its amplitude polynomials.
+    """One angle harmonic of order 6k, 1 <= k <= 2**53, with its amplitude polynomials.
 
     ``a_poly`` multiplies cos(6k theta) and must be even in y; ``b_poly``
     multiplies sin(6k theta) and must be odd in y.
@@ -114,6 +115,8 @@ class HarmonicTerm:
 
     def __post_init__(self):
         _require_whole(self.k, 1, "harmonic index k must be a positive integer")
+        if self.k > _COUNT_MAX:
+            raise ValueError(f"harmonic index k must be at most 2**53, got {self.k}")
         for name, parity, trig, power in (("a_poly", 0, "cos", "even"), ("b_poly", 1, "sin", "odd")):
             for (i, j), c in getattr(self, name).coeffs.items():
                 if c != 0.0 and j % 2 != parity:

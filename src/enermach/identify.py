@@ -17,14 +17,13 @@ conditional on phi_M.
 
 from __future__ import annotations
 
-import csv
 import functools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .dynamics import Trajectory
+from .dynamics import Trajectory, _data_lines
 from .energy import _compile, _d_flux_table, _require_finite, _table
 from .saturation import _QUARTIC, SaturationCoefficients, saturated_currents
 
@@ -253,34 +252,18 @@ _CSV_BASE = ("phi_d", "phi_q", "i_d", "i_q")
 
 
 def read_samples_csv(path) -> List[FluxSample]:
-    """Read samples; malformed content is reported with its line number."""
+    """Read samples from a :class:`Trajectory` CSV; malformed content is reported with its line number."""
+    traj = Trajectory.read_csv(path)
+    if not traj.columns:
+        raise ValueError(f"{path}: empty sample file")
+    if traj.columns not in (_CSV_BASE, _CSV_BASE + ("weight",)):
+        raise ValueError(f"{path}: line 1: header must be {','.join(_CSV_BASE)}[,weight], got {','.join(traj.columns)}")
     samples: List[FluxSample] = []
-    with open(path, "r", newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header is None:
-            raise ValueError(f"{path}: empty sample file")
-        header = tuple(h.strip() for h in header)
-        if header not in (_CSV_BASE, _CSV_BASE + ("weight",)):
-            raise ValueError(
-                f"{path}: line 1: header must be {','.join(_CSV_BASE)}[,weight], "
-                f"got {','.join(header)}"
-            )
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ValueError(
-                    f"{path}: line {line_no}: expected {len(header)} fields, got {len(row)}"
-                )
-            try:
-                values = [float(v) for v in row]
-            except ValueError:
-                raise ValueError(f"{path}: line {line_no}: non-numeric field") from None
-            try:
-                samples.append(FluxSample(*values))
-            except ValueError as e:
-                raise ValueError(f"{path}: line {line_no}: {e}") from None
+    for row, values in enumerate(traj.data.tolist()):
+        try:
+            samples.append(FluxSample(*values))
+        except ValueError as e:
+            raise ValueError(f"{path}: line {_data_lines(path)[row][0]}: {e}") from None
     return samples
 
 

@@ -11,7 +11,7 @@ import pytest
 import yaml
 
 from enermach.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, main
-from enermach.config import _YAML_LOADER
+from enermach.config import _YAML_LOADER, MotorConfig
 from enermach.identify import generate_synthetic, write_samples_csv
 from enermach.saturation import SCALED_KEYS, SaturationCoefficients
 
@@ -419,6 +419,22 @@ def test_sweep_pool_starts_no_more_workers_than_points(workers, started, tmp_pat
     assert main(["sweep", "--config", path, "--out", str(out_dir), "--quiet"]) == EXIT_OK
     assert made == [started]
     assert len(list(out_dir.glob("*.csv"))) == 3
+
+
+def test_a_sweep_builds_one_config_per_point(tmp_path, monkeypatch):
+    built = []
+
+    class CountingConfig(MotorConfig):
+        def __init__(self, raw):
+            built.append(raw["drive"]["voltage"]["u_d"])
+            super().__init__(raw)
+
+    monkeypatch.setattr("enermach.cli.MotorConfig", CountingConfig)
+    path = rewrite("im_2kw", tmp_path, lambda d: d["sweep"].update(workers=1))
+    assert main(["sweep", "--config", path, "--out", str(tmp_path / "runs"), "--quiet"]) == EXIT_OK
+    with open(path) as f:
+        sweep = yaml.safe_load(f)["sweep"]
+    assert built == sweep["values"]
 
 
 def test_sweep_requires_section(tmp_path, capsys):

@@ -29,7 +29,6 @@ from enermach.dynamics import (
     TableLoad,
     TableVoltage,
     _functions,
-    _program,
     simulate,
     simulate_im,
     step_pmsm,
@@ -125,13 +124,12 @@ def test_written_out_drives_equal_their_calls_bit_for_bit():
     m = MODELS["linear"]()
     voltage = SinusoidVoltage(amp_d=20.0, amp_q=-40.0, freq_hz=173.3, phase_d=0.3, phase_q=-1.1)
     load = LinearLoad(0.1, 1.0e-3)
-    _, record = _program(m, voltage, load, 0.0, 1.0e-5, "rk4", _Excursions())
-    s = _initial_state(m)
-    state = [s.theta, s.rho, *s.phi.tolist()]
-    for t in np.linspace(0.0, 3.0, 2001).tolist():
-        row = record(t, state)
-        assert [v.hex() for v in row[8:10]] == [v.hex() for v in voltage(t)]
-        assert row[11].hex() == load(t, row[3]).hex()
+    cfg = SimConfig(dt=1.5e-3, t_end=3.0, record_stride=1)
+    traj = _quietly(simulate, m, _initial_state(m), Drive(voltage, load), cfg)
+    assert len(traj) == 2001
+    for t, omega, u_d, u_q, t_load in traj.data[:, [0, 3, 8, 9, 11]].tolist():
+        assert [u_d.hex(), u_q.hex()] == [v.hex() for v in voltage(t)]
+        assert t_load.hex() == load(t, omega).hex()
 
 
 @pytest.mark.parametrize("integrator", ["rk4", "euler"])
@@ -231,20 +229,19 @@ def test_models_of_one_structure_share_one_code_object():
     ]
     for a, b in pairs:
         for method in ("rk4", "euler"):
-            step_a, record_a = _program(a, drive.voltage, drive.load, 0.0, 1.0e-5, method, _Excursions())
-            step_b, record_b = _program(b, drive.voltage, drive.load, 7.0, 2.0e-5, method, _Excursions())
-            assert step_a.__code__ is step_b.__code__
-            assert record_a.__code__ is record_b.__code__
-            assert step_a.__closure__ != step_b.__closure__
-            for fn in (step_a, record_a):
-                assert set(fn.__code__.co_consts) <= {None, 0.0, 2.0}
+            made_a = _functions(a, drive.voltage, drive.load, 0.0, 1.0e-5, method, _Excursions())
+            made_b = _functions(b, drive.voltage, drive.load, 7.0, 2.0e-5, method, _Excursions())
+            for name in ("step", "run"):
+                assert made_a[name].__code__ is made_b[name].__code__
+                assert made_a[name].__closure__ != made_b[name].__closure__
+                assert set(made_a[name].__code__.co_consts) <= {None, 0.0, 2.0}
 
 
 @pytest.mark.parametrize("kind", MODELS)
 def test_no_coefficient_is_printed_into_the_source(kind):
     m = MODELS[kind]()
     drive = DRIVES["constant"]
-    step, _ = _program(m, drive.voltage, drive.load, 3.0, 1.0e-5, "rk4", _Excursions())
+    step = _functions(m, drive.voltage, drive.load, 3.0, 1.0e-5, "rk4", _Excursions())["step"]
     source = _source_of(step)
     tokens = tokenize.generate_tokens(io.StringIO(source).readline)
     numbers = {tok.string for tok in tokens if tok.type == tokenize.NUMBER}

@@ -8,6 +8,7 @@ drawn from [1e-9, 1e9]; the inputs at the ends of the floats are checked
 one by one below.
 """
 
+import dataclasses
 import math
 import warnings
 
@@ -185,6 +186,19 @@ def test_a_subnormal_inertia_is_named(convention):
 def test_a_pole_pair_count_above_2_53_is_named(n_p):
     with pytest.raises(ValueError, match=r"^n_p must be at most 2\*\*53, got "):
         kinetic_coefficient(1.0e-3, n_p)
+
+
+def test_a_harmonic_index_of_2_53_builds_a_model_with_finite_values():
+    base = ipm_harmonic_model()
+    term = HarmonicTerm(k=2**53, a_poly=FluxPolynomial({(0, 0): 1.0e-3}))
+    m = harmonic_energy(dataclasses.replace(base, terms=(term,)))
+    assert np.isfinite(m.evaluate(0.3, 1.0, np.array([IPM_PHI_M, 0.01])))
+
+
+@pytest.mark.parametrize("k", [2**53 + 1, 1.0e200, 10**400], ids=["above", "float", "int"])
+def test_a_harmonic_index_above_2_53_is_named(k):
+    with pytest.raises(ValueError, match=r"^harmonic index k must be at most 2\*\*53, got "):
+        HarmonicTerm(k=k)
 
 
 @pytest.mark.parametrize("name", ["theta", "rho"])
