@@ -380,16 +380,22 @@ class Trajectory:
                 f.write((row * len(block)) % tuple(block.ravel().tolist()))
 
     @classmethod
-    def read_csv(cls, path) -> "Trajectory":
-        """Read what :meth:`write_csv` writes, with no comments; a bad line is ``ValueError("{path}: line N: ...")``."""
+    def read_csv(cls, path, check_header=None) -> "Trajectory":
+        """Read what :meth:`write_csv` writes, with no comments; a bad line is ``ValueError("{path}: line N: ...")``.
+
+        ``check_header(columns)``, if given, sees the header before any row; empty lines alone are no rows.
+        """
         with open(path, "r", newline="") as f:
             header = f.readline()
             columns = tuple(name.strip() for name in header.split(",")) if header else ()
+            if check_header is not None:
+                check_header(columns)
             start = f.tell()
-            empty = not f.read(1)
+            while (line := f.readline()) and not line.strip("\r\n"):
+                start = f.tell()
             f.seek(start)
             try:  # cls rejects rows of another width than the header's
-                data = np.empty((0, len(columns))) if empty else np.loadtxt(f, delimiter=",", comments=None, ndmin=2)
+                data = np.loadtxt(f, delimiter=",", comments=None, ndmin=2) if line else np.empty((0, len(columns)))
                 return cls(columns, data)
             except ValueError:
                 for n, line in _data_lines(path):

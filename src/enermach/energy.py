@@ -95,6 +95,10 @@ class EnergyModel(abc.ABC):
             self.d_theta(theta, rho, phi),
         )
 
+    def _d_flux_columns(self, theta, rho, columns):
+        """The currents at the flux ``np.moveaxis(columns, 0, -1)``, one array per component."""
+        return np.moveaxis(self.d_flux(theta, rho, np.moveaxis(columns, 0, -1)), -1, 0)
+
     def _step_gradient(self, theta: float, rho: float, phi: list):
         """:meth:`gradient` at one state in Python floats: ``(list, float, float)``."""
         i, omega, h_theta = self.gradient(theta, rho, np.array(phi))
@@ -547,10 +551,11 @@ class PolynomialEnergy(EnergyModel):
         # is checked in floats, and only a batch pays for reductions
         if self._box is None:
             return
+        # max |x| is max(max x, -min x), with no |x| array; NaN in x never warns, and max() skips it in y
         if isinstance(x, float):
             worst = max(abs(x), abs(y))
         else:
-            worst = max(float(np.max(np.abs(x))), float(np.max(np.abs(y))))
+            worst = float(max(x.max(), -x.min(), y.max(), -y.min()))
         if worst > self._box:
             warnings.warn(
                 f"flux deviation {worst:.4g} Wb exceeds the saturation model's "
@@ -559,29 +564,35 @@ class PolynomialEnergy(EnergyModel):
                 stacklevel=4,
             )
 
-    def _variables(self, theta, rho, phi):
-        # the kernel arguments: theta, x, y, ... and a zero of the result's shape
-        phi_d, *others = _components(phi)
+    def _variables(self, theta, rho, columns):
+        # the kernel arguments from the flux components: theta, x, y, ... and a zero of the result's shape
+        phi_d, *others = columns
         x = phi_d - self._phi_M
         self._check_box(x, others[0])
         return theta, x, *others, _zeros(theta, rho, x)
 
     def evaluate(self, theta, rho, phi):
-        (h,) = self._energy_kernel(*self._variables(theta, rho, phi))
+        (h,) = self._energy_kernel(*self._variables(theta, rho, _components(phi)))
         rho = _num(rho)
         return 0.5 * self._kappa * (rho * rho) + h
 
     def d_flux(self, theta, rho, phi):
-        return _vector(self._current_kernel(*self._variables(theta, rho, phi)))
+        return _vector(self._current_kernel(*self._variables(theta, rho, _components(phi))))
+
+    def _d_flux_columns(self, theta, rho, columns):
+        # the current kernel reads the columns with no stack, unless a subclass has its own d_flux
+        if type(self).d_flux is not PolynomialEnergy.d_flux:
+            return super()._d_flux_columns(theta, rho, columns)
+        return self._current_kernel(*self._variables(theta, rho, columns))
 
     def d_theta(self, theta, rho, phi):
-        return self._angle_kernel(*self._variables(theta, rho, phi))[0]
+        return self._angle_kernel(*self._variables(theta, rho, _components(phi)))[0]
 
     def d_rho(self, theta, rho, phi):
         return self._kappa * _num(rho)
 
     def gradient(self, theta, rho, phi):
-        *i, h_theta = self._gradient_kernel(*self._variables(theta, rho, phi))
+        *i, h_theta = self._gradient_kernel(*self._variables(theta, rho, _components(phi)))
         return _vector(i), self._kappa * _num(rho), h_theta
 
     def _stage_source(self, env):

@@ -253,11 +253,14 @@ _CSV_BASE = ("phi_d", "phi_q", "i_d", "i_q")
 
 def read_samples_csv(path) -> List[FluxSample]:
     """Read samples from a :class:`Trajectory` CSV; malformed content is reported with its line number."""
-    traj = Trajectory.read_csv(path)
-    if not traj.columns:
-        raise ValueError(f"{path}: empty sample file")
-    if traj.columns not in (_CSV_BASE, _CSV_BASE + ("weight",)):
-        raise ValueError(f"{path}: line 1: header must be {','.join(_CSV_BASE)}[,weight], got {','.join(traj.columns)}")
+
+    def check_header(columns):
+        if not columns:
+            raise ValueError(f"{path}: empty sample file")
+        if columns not in (_CSV_BASE, _CSV_BASE + ("weight",)):
+            raise ValueError(f"{path}: line 1: header must be {','.join(_CSV_BASE)}[,weight], got {','.join(columns)}")
+
+    traj = Trajectory.read_csv(path, check_header)
     samples: List[FluxSample] = []
     for row, values in enumerate(traj.data.tolist()):
         try:

@@ -12,7 +12,8 @@ leaves a report unchanged.  Numpy loops run over the sample axis: a
 (..., flux_dim) array is split into its component columns, because an
 operation broadcast or reduced over a trailing axis of length 2 or 4
 costs several times more per element.  The reciprocity check holds one
-flux_dim**2 * n_samples Jacobian.
+flux_dim**2 * n_samples Jacobian, and a table model takes its probes column
+by column.  The checks of one set share one draw and H at it (``_last``).
 """
 
 from __future__ import annotations
@@ -88,8 +89,7 @@ class SampleBox:
             raise ValueError("box half-widths must be positive")
 
     def draw(self, rng: np.random.Generator, n: int):
-        _require_whole(n, 1, f"n_samples must be a positive integer, got {n!r}")
-        n = int(n)
+        n = _samples(n)
         phi = rng.uniform(-1.0, 1.0, (n, self.phi_center.size))
         for col, center, half in zip(phi.T, self.phi_center.flat, self.phi_half.flat):
             col *= half
@@ -122,11 +122,34 @@ def default_box(m: EnergyModel) -> SampleBox:
     return SampleBox(center, half, _TWO_PI, rho_half)
 
 
+def _samples(n) -> int:
+    _require_whole(n, 1, f"n_samples must be a positive integer, got {n!r}")
+    return int(n)
+
+
+# the latest draw of an int seed, read-only, kept until a draw of another box,
+# seed or count (keyed by their exact bits), and H at it for one model (by identity):
+# (key, theta, rho, phi, generator state after the draw, model, H), swapped whole
+_last = (None,) * 7
+
+
 def _draw(m: EnergyModel, box: Optional[SampleBox], seed: int, n_samples: int):
     """``(rng, theta, rho, phi)``: the check's generator after drawing its samples from ``box``."""
+    global _last
     box = box or default_box(m)
     rng = np.random.default_rng(seed)
-    return (rng, *box.draw(rng, n_samples))
+    if type(seed) is not int:
+        return (rng, *box.draw(rng, n_samples))
+    key = (box.phi_center.tobytes(), box.phi_half.tobytes(), box.theta_half, box.rho_half, seed, _samples(n_samples))
+    last = _last
+    if last[0] != key:
+        drawn = box.draw(rng, n_samples)
+        for a in drawn:
+            a.flags.writeable = False
+        last = _last = (key, *drawn, rng.bit_generator.state, None, None)
+    else:
+        rng.bit_generator.state = last[4]
+    return (rng, *last[1:4])
 
 
 def _report(name, tol, theta, rho, phi, per_point, scale) -> CheckReport:
@@ -159,7 +182,15 @@ def _h_comparison_report(name, tol, theta, rho, phi, h1, h2) -> CheckReport:
 
 def _identity(name, m: EnergyModel, tol, theta, rho, phi, image) -> CheckReport:
     """H at the samples against H at their ``image``, a ``(theta, rho, phi)`` triple."""
-    return _h_comparison_report(name, tol, theta, rho, phi, m.evaluate(theta, rho, phi), m.evaluate(*image))
+    global _last
+    last = _last
+    if last[1] is theta and last[5] is m:
+        h = last[6]
+    else:
+        h = m.evaluate(theta, rho, phi)
+        if last[1] is theta:
+            _last = (*last[:5], m, h)
+    return _h_comparison_report(name, tol, theta, rho, phi, h, m.evaluate(*image))
 
 
 def check_reciprocity(
@@ -204,10 +235,9 @@ def check_reciprocity(
                 probes[k, 1] = phi[blk, k]
                 np.add(phi[blk, k], step, out=probes[k, 0, :, k])
                 np.subtract(phi[blk, k], step, out=probes[k, 1, :, k])
-            i = m.d_flux(theta[blk], rho[blk], np.moveaxis(probes, 0, -1))
             den = 2.0 * step[:, None]
-            for k in range(dim):
-                c = (i[0, ..., k] - i[1, ..., k]) / den
+            for k, i in enumerate(m._d_flux_columns(theta[blk], rho[blk], probes)):
+                c = (i[0] - i[1]) / den
                 jac[:, k, blk] = (4.0 * c[0] - c[1]) / 3.0
 
     # |J_jk - J_kj| is |J_kj - J_jk|; the diagonal keeps a non-finite J_jj as
