@@ -1,14 +1,9 @@
 """Fixed-step simulation of the machine state equations.
 
-The electrical state equation in rotating coordinates is
-
-    dphi/dt = u - R_s * i - omega_frame * J * phi
-
-coupled to the mechanical pair d(theta)/dt = omega, n_p * d(rho)/dt = T_e - T_l.
-For single-winding machines the frame rotates with the rotor
-(omega_frame = omega); for the induction machine the frame angle theta_s
-advances at a constant chosen speed omega_s and the rotor winding sees the
-slip speed omega_s - omega.
+The state equations and the port powers are written once, in the table
+``_EQUATIONS``.  For single-winding machines the frame rotates with the
+rotor; for the induction machine the frame angle theta_s advances at a
+constant chosen speed omega_s.
 
 Integrators are fixed-step (classic fourth-order Runge-Kutta and explicit
 Euler), so a run is a pure function of its inputs; repeating one bit for
@@ -33,14 +28,11 @@ same model object writes no source, whatever those values.  This rests
 on a model not changing once built, which its compiled kernels already
 assume.
 
-Energy bookkeeping: along an exact trajectory
-
-    dH/dt = u^T i - R_s ||i||^2 - T_l * omega / n_p      (- R_r ||i_r||^2 for IM)
-
-and :func:`power_balance` measures how far a recorded trajectory is from
-that identity.  The zero axis never enters here; a star-connected winding
-keeps it decoupled, and its flux is handled entirely in
-:mod:`enermach.harmonics`.
+Energy bookkeeping: along an exact trajectory dH/dt is the table's
+p_in - p_diss - p_mech, and :func:`power_balance` measures how far a
+recorded trajectory is from that identity.  The zero axis never enters
+here; a star-connected winding keeps it decoupled, and its flux is
+handled entirely in :mod:`enermach.harmonics`.
 """
 
 from __future__ import annotations
@@ -426,6 +418,34 @@ def _resistances(model: EnergyModel) -> Tuple[float, float]:
 # the generated code's expression of each record column that is not a name in it
 _ROW = {"torque": "te", "load": "t_load", "theta_s": "omega_s * t"}
 
+# The machine's equations, once, as source over the generated code's names:
+# the slope of each state component and the port powers.  With the torque te
+# of energy._TORQUE and grad H = (h_theta, omega, i) the slopes are
+# (J - R) grad H + g u in port-Hamiltonian form, and along them
+# dH/dt = p_in - p_diss - p_mech.  The stator pair's frame turns at "frame"
+# by flux_dim, the rotor pair's at "slip"; p_diss has one term per pair.
+_EQUATIONS = {
+    "frame": {2: "omega", 4: "omega_s"},
+    "slip": "omega_s - omega",
+    "theta": "omega",
+    "rho": "(te - t_load) / n_p",
+    "phi_d": "u_d - R_s * i_d + {frame} * phi_q",
+    "phi_q": "u_q - R_s * i_q - {frame} * phi_d",
+    "phi_rd": "nR_r * i_rd + slip * phi_rq",
+    "phi_rq": "nR_r * i_rq - slip * phi_rd",
+    "p_in": "u_d * i_d + u_q * i_q",
+    "p_diss": ("R_s * (i_d * i_d + i_q * i_q)", "R_r * (i_rd * i_rd + i_rq * i_rq)"),
+    "p_mech": "t_load * omega / n_p",
+}
+
+
+def _equations(flux_dim: int, table: dict = _EQUATIONS) -> Tuple[list, list, dict]:
+    """The ``table`` for ``flux_dim``: the slip line, the state slopes, and the powers by name."""
+    slopes = [table[v].format(frame=table["frame"][flux_dim]) for v in ("theta", "rho", *_FLUX_NAMES[:flux_dim])]
+    powers = {p: table[p] for p in ("p_in", "p_diss", "p_mech")}
+    powers["p_diss"] = " + ".join(table["p_diss"][: flux_dim // 2])
+    return [f"slip = {table['slip']}"] * (flux_dim == 4), slopes, powers
+
 
 def _functions(model: EnergyModel, voltage, load, omega_s, dt, method: str, outside) -> dict:
     """The generated ``step`` and ``run`` of one model, drive and integrator.
@@ -486,12 +506,10 @@ def _compile_functions(model: EnergyModel, env: dict, voltage_lines, pure: bool,
     model's ``_stage_source`` binds its coefficients there too, and they
     are returned by name.  The functions are straight-line code written
     from the same stage lines: the model's evaluation, the torque, the
-    drive and the state equations, with the operations and their order of
-    a loop over stages.  The stator pair's frame turns at omega for
-    single-winding machines and at omega_s for the induction machine; the
-    rotor pair's frame turns at the slip speed omega_s - omega.  Only the
-    arithmetic the model's structure needs is written, and each identity
-    it rests on is exact, so every value is the stage loop's, bit for bit:
+    drive and the state equations of ``_EQUATIONS``, with the operations
+    and their order of a loop over stages.  Only the arithmetic the model's
+    structure needs is written, and each identity it rests on is exact, so
+    every value is the stage loop's, bit for bit:
 
     * a written-out voltage is pure, so the two rk4 stages at ``t + h``
       share one evaluation of it;
@@ -508,16 +526,7 @@ def _compile_functions(model: EnergyModel, env: dict, voltage_lines, pure: bool,
     evaluation = model._stage_source(env)
     evaluation = [*evaluation, f"te = {_TORQUE if 'h_theta' in _names(evaluation) else _TORQUE_CROSS}"]
     stage = [*evaluation, *voltage_lines, *load_lines]
-    w_s = "omega_s" if model.flux_dim == 4 else "omega"
-    slopes = [
-        "omega",
-        "(te - t_load) / n_p",
-        f"u_d - R_s * i_d + {w_s} * phi_q",
-        f"u_q - R_s * i_q - {w_s} * phi_d",
-        "nR_r * i_rd + slip * phi_rq",
-        "nR_r * i_rq - slip * phi_rd",
-    ][: len(state)]
-    slip = ["slip = omega_s - omega"] if model.flux_dim == 4 else []
+    slip, slopes, _ = _equations(model.flux_dim)
     read = _names([*stage, *slopes])
     moved = [v for v in state if v in read]
     clock = "ts" in read
@@ -720,14 +729,13 @@ def _cumsimpson(p: np.ndarray, t: np.ndarray) -> np.ndarray:
 def power_balance(m: EnergyModel, traj: Trajectory) -> float:
     """Worst relative violation of the energy bookkeeping identity.
 
-    Integrates the electrical input power, the resistive losses and the
-    mechanical load power over the recorded samples (composite Simpson for
-    unequal intervals, Cartwright 2017, eqn 8) and compares
-    the running total against H(t) - H(0).  The mismatch is normalized by
-    the total energy exchanged (falling back to |H(0)| for conservative
-    runs where nothing is exchanged).  The identity holds for the model's
-    polynomial inside and outside its fitted flux box, so evaluating H here
-    does not warn; a run reports its own excursions.
+    Integrates the port powers of ``_EQUATIONS`` over the recorded samples
+    (composite Simpson for unequal intervals, Cartwright 2017, eqn 8) and
+    compares the running total against H(t) - H(0).  The mismatch is
+    normalized by the total energy exchanged (falling back to |H(0)| for
+    conservative runs where nothing is exchanged).  The identity holds for
+    the model's polynomial inside and outside its fitted flux box, so
+    evaluating H here does not warn; a run reports its own excursions.
     """
     if len(traj) < 3:
         raise ValueError("power balance needs at least 3 recorded samples")
@@ -741,17 +749,13 @@ def power_balance(m: EnergyModel, traj: Trajectory) -> float:
         warnings.simplefilter("ignore", SaturationRangeWarning)
         H = np.asarray(m.evaluate(theta, rho, phi), dtype=float)
 
-    i_d, i_q, u_d, u_q = (traj.column(c) for c in ("i_d", "i_q", "u_d", "u_q"))
-    omega = traj.column("omega")
-    load = traj.column("load")
-    R_s, R_r = _resistances(m)
-
-    p_in = u_d * i_d + u_q * i_q
-    p_diss = R_s * (i_d * i_d + i_q * i_q)
-    if m.flux_dim == 4:
-        i_rd, i_rq = traj.column("i_rd"), traj.column("i_rq")
-        p_diss = p_diss + R_r * (i_rd * i_rd + i_rq * i_rq)
-    p_mech = load * omega / m.pole_pairs
+    # the table's powers on the recorded columns, n_p bound as a float like
+    # the generated run's; their code is compiled once per text
+    env = dict(zip(("R_s", "R_r", "n_p"), (*_resistances(m), float(m.pole_pairs))))
+    powers = _equations(m.flux_dim)[2]
+    column = {name: c for c, name in _ROW.items()}
+    env.update({v: traj.column(column.get(v, v)) for v in sorted(_names(powers.values()) - set(env))})
+    p_in, p_diss, p_mech = _made(_factory("\n".join(f"{p} = {e}" for p, e in powers.items()), env), env).values()
 
     lhs = H - H[0]
     rhs = _cumsimpson(p_in - p_diss - p_mech, t)

@@ -24,6 +24,7 @@ Each current is the table's sum of two monomials, e.g. i_sd =
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -48,8 +49,8 @@ class ImParams:
 
     ``L_s``, ``L_r`` and ``L_m`` are stator, rotor and mutual inductance (H).
     The leakage factor sigma is always derived from them; a parameter set
-    with L_s*L_r - L_m**2 <= 0 describes no physical machine and is
-    rejected outright.
+    whose D = L_s*L_r - L_m**2 is not finite and positive describes no
+    physical machine and is rejected outright.
     """
 
     L_s: float
@@ -64,10 +65,12 @@ class ImParams:
         _require_finite(self)
         if self.L_s <= 0.0 or self.L_r <= 0.0 or self.L_m <= 0.0:
             raise ValueError("inductances must be positive")
-        if self.L_s * self.L_r - self.L_m**2 <= 0.0:
-            raise ValueError(
-                "degenerate inductance matrix: L_s*L_r - L_m**2 must be positive"
-            )
+        try:  # D must be finite too: at D = inf every coefficient of H's flux table is 0
+            det = self.det
+        except OverflowError:  # L_m**2 beyond the floats
+            det = math.inf
+        if not 0.0 < det < math.inf:
+            raise ValueError("degenerate inductance matrix: L_s*L_r - L_m**2 must be positive")
         if self.R_s < 0.0 or self.R_r < 0.0:
             raise ValueError("resistances must be non-negative")
         _require_machine(self)

@@ -111,22 +111,32 @@ class SaturationCoefficients:
     ) -> "SaturationCoefficients":
         """Build from the dimensionless published form (A*Wb units)."""
         scaled = locals()  # the arguments by name, before any other local is bound
-        if phi_M <= 0.0:
-            raise ValueError("scaled coefficients need phi_M > 0")
+        powers = _phi_M_powers(phi_M, "scaled coefficients need phi_M > 0")
         return cls(
             phi_M=phi_M,
             kinetic_coeff=kinetic_coeff,
             n_p=n_p,
             R_s=R_s,
-            **{name: scaled[key] / phi_M**p for name, key, _, _, p in _QUARTIC},
+            **{name: scaled[key] / m_p for (name, key, *_), m_p in zip(_QUARTIC, powers)},
         )
 
     def scaled_values(self) -> dict:
         """Coefficients premultiplied by powers of phi_M, keyed by SCALED_KEYS."""
-        if self.phi_M <= 0.0:
-            raise ValueError("scaled form needs phi_M > 0")
-        m = self.phi_M
-        return {key: m**p * getattr(self, name) for name, key, _, _, p in _QUARTIC}
+        powers = _phi_M_powers(self.phi_M, "scaled form needs phi_M > 0")
+        return {key: m_p * getattr(self, name) for (name, key, *_), m_p in zip(_QUARTIC, powers)}
+
+
+def _phi_M_powers(phi_M: float, message: str) -> list:
+    """phi_M**p of each row of _QUARTIC; ValueError(``message``) unless phi_M > 0, and one naming a phi_M out of range."""
+    if phi_M <= 0.0:
+        raise ValueError(message)
+    try:
+        powers = [phi_M**p for *_, p in _QUARTIC]
+        if 0.0 not in powers:
+            return powers
+    except OverflowError:
+        pass
+    raise ValueError(f"phi_M = {phi_M!r} is out of range for the scaled form: phi_M**4 must be a nonzero float")
 
 
 def _quartic_terms(c: SaturationCoefficients) -> dict:
