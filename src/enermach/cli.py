@@ -22,6 +22,7 @@ import numpy as np
 
 from .config import ConfigError, MotorConfig, load_config
 from .dynamics import SimulationError, Trajectory, power_balance, simulate
+from .energy import _magnet_box
 from .harmonics import ripple_torque
 from .identify import RankDeficiencyError, fit_saturation, read_samples_csv, report_scaled
 from .validate import (
@@ -88,7 +89,7 @@ def cmd_identify(cfg: MotorConfig, args) -> int:
     samples = read_samples_csv(args.samples)
     phi_M = cfg.identify["phi_M"]
     if phi_M is None:
-        phi_M = float(getattr(cfg.model.params, "phi_M", 0.0))
+        phi_M = _magnet_box(cfg.model)[0]
         if phi_M <= 0.0:
             raise ConfigError("identify.phi_M: required when the model block has no magnet")
     fit = fit_saturation(samples, phi_M=phi_M, refine_phi_M=cfg.identify["refine_phi_M"])

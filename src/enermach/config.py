@@ -38,6 +38,7 @@ from .energy import (
     EnergyModel,
     LinearPmsmParams,
     MachineState,
+    _magnet_box,
     kinetic_coefficient,
     linear_energy,
     synrm_energy,
@@ -322,7 +323,7 @@ def _build_initial(block, path: str, model: EnergyModel) -> MachineState:
         rho = omega / float(model.params.kinetic_coeff)
     if phi is None:
         phi = np.zeros(model.flux_dim)
-        phi[0] = float(getattr(model.params, "phi_M", 0.0))
+        phi[0] = _magnet_box(model)[0]
     _check(len(phi) == model.flux_dim, f"{path}.phi", f"expected {model.flux_dim} components")
     return _build(MachineState, path, theta=s["theta"], rho=0.0 if rho is None else rho, phi=phi)
 
@@ -357,8 +358,7 @@ def _axis(block, path: str, bounds: Tuple[float, float]) -> Tuple[float, float, 
 
 
 def _build_flux_map(block, path: str, model: EnergyModel) -> Dict[str, Any]:
-    phi_M = float(getattr(model.params, "phi_M", 0.0))
-    half = phi_M if phi_M > 0.0 else 0.25
+    phi_M, half = _magnet_box(model)
     axes = {"phi_d": (phi_M - half, phi_M + half), "phi_q": (-half, half)}
     keys = {key: (partial(_axis, bounds=b), (*b, _AXIS_POINTS)) for key, b in axes.items()}
     return _read(block, path, keys)

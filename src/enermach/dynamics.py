@@ -13,9 +13,10 @@ with its time loop, its record rows and its finiteness test, and from the
 same lines one function for a single step.  The model's evaluation, the
 torque, the state equations and the stage updates are written out, and so
 are the drive kinds that are plain arithmetic (constant and sinusoid
-voltages, constant and linear loads); a table drive or any other callable
-is called at every stage.  The code depends on the model's structure and
-the drive kinds, not on their parameters, and is compiled once per process.
+voltages, constant and linear loads), whose calls run the same lines; a
+table drive or any other callable is called at every stage.  The code
+depends on the model's structure and the drive kinds, not on their
+parameters, and is compiled once per process.
 It holds only the arithmetic the structure needs, by identities that change
 no bit: no angle term and no stage update of theta for an angle-free model,
 phi_d itself where phi_M = 0, no stage time where nothing reads it
@@ -40,7 +41,6 @@ from __future__ import annotations
 import bisect
 import math
 import re
-import types
 import warnings
 from dataclasses import dataclass, fields
 from typing import Callable, Sequence, Tuple
@@ -150,22 +150,41 @@ class SimConfig:
 # drive sources: deterministic functions of time (and speed, for loads)
 
 
+def _written(drive, signature: str, result: str):
+    """The function of ``signature`` that runs ``drive._source`` and returns ``result``, compiled once per text."""
+    env: dict = {}
+    lines = [*drive._source(env), f"return {result}"]
+    source = f"def drive({signature}):\n" + "".join(f"    {line}\n" for line in lines)
+    return _made(_factory(source, env), env)["drive"]
+
+
+class _WrittenVoltage:
+    """A voltage kind that is plain arithmetic: its formula is the ``_source`` the simulator writes out."""
+
+    def __call__(self, t: float) -> Tuple[float, float]:
+        return _written(self, "ts", "u_d, u_q")(t)
+
+
+class _WrittenLoad:
+    """A load kind that is plain arithmetic: its formula is the ``_source`` the simulator writes out."""
+
+    def __call__(self, t: float, omega: float) -> float:
+        return _written(self, "ts, omega", "t_load")(t, omega)
+
+
 @dataclass(frozen=True)
-class ConstantVoltage:
+class ConstantVoltage(_WrittenVoltage):
     u_d: float = 0.0
     u_q: float = 0.0
 
     __post_init__ = _require_finite
-
-    def __call__(self, t: float) -> Tuple[float, float]:
-        return (self.u_d, self.u_q)
 
     def _source(self, env: dict) -> list:
         return [f"u_d = {_bind(env, 'u_d', self.u_d)}", f"u_q = {_bind(env, 'u_q', self.u_q)}"]
 
 
 @dataclass(frozen=True)
-class SinusoidVoltage:
+class SinusoidVoltage(_WrittenVoltage):
     """Per-axis sinusoids, u = amp * cos(2*pi*freq_hz*t + phase)."""
 
     amp_d: float = 0.0
@@ -176,16 +195,7 @@ class SinusoidVoltage:
 
     __post_init__ = _require_finite
 
-    def __call__(self, t: float) -> Tuple[float, float]:
-        w = 2.0 * math.pi * self.freq_hz * t
-        return (
-            self.amp_d * math.cos(w + self.phase_d),
-            self.amp_q * math.cos(w + self.phase_q),
-        )
-
     def _source(self, env: dict) -> list:
-        # 2*pi*freq_hz is bound as one value: (2.0 * pi * freq_hz) * t is the
-        # product __call__ forms, so the inlined voltage is bit-identical
         env["cos"] = math.cos
         w = _bind(env, "w", 2.0 * math.pi * self.freq_hz)
         return [
@@ -232,29 +242,23 @@ class TableVoltage(_Table):
 
 
 @dataclass(frozen=True)
-class ConstantLoad:
+class ConstantLoad(_WrittenLoad):
     torque: float = 0.0
 
     __post_init__ = _require_finite
-
-    def __call__(self, t: float, omega: float) -> float:
-        return self.torque
 
     def _source(self, env: dict) -> list:
         return [f"t_load = {_bind(env, 'torque', self.torque)}"]
 
 
 @dataclass(frozen=True)
-class LinearLoad:
+class LinearLoad(_WrittenLoad):
     """Load torque affine in electrical speed: T = torque_0 + coeff * omega."""
 
     torque_0: float = 0.0
     coeff: float = 0.0
 
     __post_init__ = _require_finite
-
-    def __call__(self, t: float, omega: float) -> float:
-        return self.torque_0 + self.coeff * omega
 
     def _source(self, env: dict) -> list:
         return [f"t_load = {_bind(env, 'torque', self.torque_0)} + {_bind(env, 'coeff', self.coeff)} * omega"]
@@ -292,27 +296,17 @@ class Drive:
             object.__setattr__(self, "load", ConstantLoad(float(self.load)))
 
 
-def _callee(fn):
-    """``fn``, or its bound ``__call__`` when that is a Python method.
-
-    Calling the bound method skips the call slot of ``fn``'s type, a detour
-    through C that costs about as much as a drive's own arithmetic.
-    """
-    call = getattr(fn, "__call__", None)
-    return call if isinstance(call, types.MethodType) else fn
-
-
 def _drive_source(fn, env: dict, name: str, call: str) -> Tuple[list, bool]:
     """Source lines that evaluate one drive at the stage, and whether it is pure.
 
     The drive kinds that are plain arithmetic of their parameters (their
     own class defines ``_source``) are written out, with the parameters
     bound in ``env``; a subclass, a table or any other callable is bound
-    as ``name`` and called, which is ``call``.
+    as ``name`` and called as given, which is ``call``.
     """
     if "_source" in type(fn).__dict__:
         return fn._source(env), True
-    env[name] = _callee(fn)
+    env[name] = fn
     return [call], False
 
 

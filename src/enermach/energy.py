@@ -229,6 +229,12 @@ def _require_machine(p) -> None:
         raise ValueError("R_s must be non-negative")
 
 
+def _magnet_box(m) -> tuple:
+    """A model's magnet flux phi_M and the half-width of its flux box: phi_M, or 0.25 Wb without a magnet."""
+    phi_M = float(getattr(getattr(m, "params", None), "phi_M", 0.0))
+    return phi_M, phi_M if phi_M > 0.0 else 0.25
+
+
 def _shared(cls, params):
     """The model ``cls(params)`` the one-call front ends share, so its code compiles once.
 

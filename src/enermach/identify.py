@@ -25,7 +25,7 @@ import numpy as np
 
 from .dynamics import Trajectory, _data_lines
 from .energy import _compile, _d_flux_table, _require_finite, _table
-from .saturation import _QUARTIC, SaturationCoefficients, saturated_currents
+from .saturation import _QUARTIC, SaturationCoefficients, _phi_M_powers, saturated_currents
 
 __all__ = [
     "PARAM_NAMES",
@@ -233,15 +233,12 @@ def report_scaled(r: FitResult) -> Dict[str, Tuple[float, Optional[float]]]:
     Values are the fitted parameters premultiplied by powers of phi_M; the
     std errors are scaled by the same powers (phi_M treated as exact).
     """
-    scaled = r.coefficients.scaled_values()
-    m = r.coefficients.phi_M
-    out: Dict[str, Tuple[float, Optional[float]]] = {}
-    for name, key, _, _, power in _QUARTIC:
-        err = None
-        if r.std_errors is not None:
-            err = r.std_errors[name] * m**power
-        out[key] = (scaled[key], err)
-    return out
+    scaled, errors = r.coefficients.scaled_values(), r.std_errors
+    powers = _phi_M_powers(r.coefficients.phi_M, "scaled form needs phi_M > 0")
+    return {
+        key: (scaled[key], None if errors is None else errors[name] * m_p)
+        for (name, key, *_), m_p in zip(_QUARTIC, powers)
+    }
 
 
 # ---------------------------------------------------------------------------

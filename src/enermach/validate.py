@@ -25,7 +25,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from .energy import EnergyModel, _require_whole, _shared
+from .energy import EnergyModel, _magnet_box, _require_whole, _shared
 from .induction import ImEnergy, ImParams
 from .saturation import SaturationRangeWarning
 
@@ -105,21 +105,15 @@ def default_box(m: EnergyModel) -> SampleBox:
     For magnet machines the flux box is centered on the magnet working
     point with half-width phi_M (the trust region of the saturation
     polynomial); machines without a magnet get a generic 0.25 Wb box.  The
-    momentum range corresponds to about 1000 rad/s electrical.
+    momentum range corresponds to about 1000 rad/s electrical, bounded at
+    1e150 so that rho * rho stays finite when kappa is tiny.
     """
-    params = getattr(m, "params", None)
-    kappa = float(getattr(params, "kinetic_coeff", 1.0))
-    rho_half = 1000.0 / kappa
+    kappa = float(getattr(getattr(m, "params", None), "kinetic_coeff", 1.0))
+    rho_half = min(1000.0 / kappa, 1.0e150)
     if m.flux_dim == 4:
         return SampleBox(np.zeros(4), np.full(4, 0.5), _TWO_PI, rho_half)
-    phi_M = float(getattr(params, "phi_M", 0.0))
-    if phi_M > 0.0:
-        center = np.array([phi_M, 0.0])
-        half = np.array([phi_M, phi_M])
-    else:
-        center = np.zeros(2)
-        half = np.full(2, 0.25)
-    return SampleBox(center, half, _TWO_PI, rho_half)
+    phi_M, half = _magnet_box(m)
+    return SampleBox(np.array([phi_M, 0.0]), np.full(2, half), _TWO_PI, rho_half)
 
 
 def _samples(n) -> int:
