@@ -365,7 +365,7 @@ def _build_flux_map(block, path: str, model: EnergyModel) -> Dict[str, Any]:
 
 
 def _build_validate(block, path: str) -> Dict[str, Any]:
-    out = _read(block, path, {"n_samples": (_integer, 10_000), "tol": (_number, 1.0e-10)})
+    out = _read(block, path, {"n_samples": (_integer, 10_000), "tol": (_positive, 1.0e-10)})
     _check(out["n_samples"] >= 1, f"{path}.n_samples", "need a positive sample count")
     return out
 

@@ -56,6 +56,7 @@ from .energy import (
     SaturationRangeWarning,
     _Excursions,
     _bind,
+    _def,
     _factory,
     _made,
     _require_finite,
@@ -154,8 +155,7 @@ def _written(drive, signature: str, result: str):
     """The function of ``signature`` that runs ``drive._source`` and returns ``result``, compiled once per text."""
     env: dict = {}
     lines = [*drive._source(env), f"return {result}"]
-    source = f"def drive({signature}):\n" + "".join(f"    {line}\n" for line in lines)
-    return _made(_factory(source, env), env)["drive"]
+    return _made(_factory(_def(f"drive({signature})", lines), env), env)["drive"]
 
 
 class _WrittenVoltage:
@@ -566,9 +566,7 @@ def _compile_functions(model: EnergyModel, env: dict, voltage_lines, pure: bool,
             "return rows, None",
         ],
     }
-    source = "".join(
-        f"def {signature}:\n" + "".join(f"    {line}\n" for line in lines) for signature, lines in functions.items()
-    )
+    source = "".join(_def(signature, lines) for signature, lines in functions.items())
     return _factory(source, env), {name: v for name, v in env.items() if name not in given}
 
 

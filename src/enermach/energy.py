@@ -333,14 +333,17 @@ def _cos_sin(w: float, theta):
 _CODES: dict = {}
 
 
+def _def(signature: str, lines) -> str:
+    """The text of ``def signature:`` with the body ``lines``: every generated function is written by it."""
+    return f"def {signature}:\n" + "".join(f"    {line}\n" for line in lines)
+
+
 def _factory(source: str, names) -> types.CodeType:
     """The code of a factory that takes ``names`` and returns the functions ``source`` defines.
 
     It is compiled once per process for each distinct text.
     """
-    factory = f"def factory({', '.join(names)}):\n" + "".join(
-        f"    {line}\n" for line in source.splitlines()
-    ) + "    return locals()\n"
+    factory = _def(f"factory({', '.join(names)})", [*source.splitlines(), "return locals()"])
     code = _CODES.get(factory)
     if code is None:
         namespace: dict = {}
@@ -449,16 +452,16 @@ def _state_without_kernels(self) -> dict:
 
 
 def _compile(tables: Sequence[tuple], n_vars: int = 2):
-    """Compile tables over ``n_vars`` variables into ``(theta, x, y, ..., zero) -> tuple``.
+    """Compile tables over ``n_vars`` variables, none or more, into ``(theta, x, y, ..., zero) -> tuple``.
 
     The body is :func:`_kernel_lines` for floats and arrays alike.
     """
     env: dict = {}
+    variables = _VARIABLES[:n_vars]
     outputs = [f"t{k}" for k in range(len(tables))]
-    lines = _kernel_lines(tables, env, outputs, "zero", one_state=False, variables=_VARIABLES[:n_vars])
+    lines = _kernel_lines(tables, env, outputs, "zero", one_state=False, variables=variables)
     lines.append(f"return ({', '.join(outputs)},)")
-    variables = ", ".join(_VARIABLES[:n_vars])
-    source = f"def kernel(theta, {variables}, zero):\n" + "".join(f"    {line}\n" for line in lines)
+    source = _def(f"kernel({', '.join(['theta', *variables, 'zero'])})", lines)
     return _made(_factory(source, env), env)["kernel"]
 
 
@@ -680,7 +683,7 @@ def torque(m: EnergyModel, theta, rho, phi):
 _TORQUE_ANGLE = "-n_p * h_theta"
 _TORQUE_CROSS = "n_p * (i_q * phi_d - i_d * phi_q)"
 _TORQUE = f"{_TORQUE_ANGLE} + {_TORQUE_CROSS}"
-_torque = eval(f"lambda n_p, h_theta, i_d, i_q, phi_d, phi_q: {_TORQUE}")
+_torque = _made(_factory(_def("torque(n_p, h_theta, i_d, i_q, phi_d, phi_q)", [f"return {_TORQUE}"]), {}), {})["torque"]
 
 
 def numeric_gradient(f, x) -> np.ndarray:

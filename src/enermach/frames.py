@@ -140,7 +140,9 @@ def rotation(theta: float) -> np.ndarray:
 
 
 def rotation2(theta: float) -> np.ndarray:
-    """Planar 2x2 rotation by ``theta``."""
+    """Planar 2x2 rotation by a finite ``theta``; every frame transform takes its angle here."""
+    if not math.isfinite(theta):
+        raise ValueError(f"theta must be finite, got {theta}")
     c, s = math.cos(theta), math.sin(theta)
     return np.array([[c, -s], [s, c]])
 

@@ -31,6 +31,7 @@ from .energy import (
     PolynomialEnergy,
     _compile,
     _d_flux_table,
+    _d_theta_table,
     _finite_array,
     _require_finite,
     _require_whole,
@@ -141,23 +142,22 @@ class ZeroAxisSeries:
         object.__setattr__(self, "sin_coeffs", tuple(float(c) for c in self.sin_coeffs))
         _require_finite(self)
 
+    __getstate__ = _state_without_kernels
+
+    @cached_property
+    def _series_kernel(self):
+        # (phi0, dphi0/dtheta) over no flux variable; cos rows before sin rows sum the terms in coefficient order
+        cos_rows = [(3 * m, {(): c}, {}) for m, c in enumerate(self.cos_coeffs, start=1)]
+        table = _table([*cos_rows, *((3 * m, {}, {(): s}) for m, s in enumerate(self.sin_coeffs, start=1))])
+        return _compile((table, _d_theta_table(table)), 0)
+
     def value(self, theta):
         theta = np.asarray(theta, dtype=float)
-        out = np.zeros(theta.shape)
-        for m, c in enumerate(self.cos_coeffs, start=1):
-            out = out + c * np.cos(3.0 * m * theta)
-        for m, s in enumerate(self.sin_coeffs, start=1):
-            out = out + s * np.sin(3.0 * m * theta)
-        return out
+        return self._series_kernel(theta, _zeros(theta))[0]
 
     def d_theta(self, theta):
         theta = np.asarray(theta, dtype=float)
-        out = np.zeros(theta.shape)
-        for m, c in enumerate(self.cos_coeffs, start=1):
-            out = out - 3.0 * m * c * np.sin(3.0 * m * theta)
-        for m, s in enumerate(self.sin_coeffs, start=1):
-            out = out + 3.0 * m * s * np.cos(3.0 * m * theta)
-        return out
+        return self._series_kernel(theta, _zeros(theta))[1]
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ conditional on phi_M.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -152,6 +153,8 @@ def fit_saturation(samples: Sequence[FluxSample], phi_M: float, refine_phi_M: bo
         return _solve(a * sqrt_w[:, None], b * sqrt_w)
 
     m = float(phi_M)
+    if not math.isfinite(m):
+        raise ValueError(f"phi_M must be finite, got {phi_M}")
     converged = True
     iterations = 0
     if refine_phi_M:
@@ -211,8 +214,8 @@ def generate_synthetic(
     ``noise`` is the standard deviation of multiplicative Gaussian noise per
     current component: i -> i * (1 + noise * g), g ~ N(0, 1), seeded.
     """
-    if noise < 0.0:
-        raise ValueError("noise must be non-negative")
+    if not 0.0 <= noise < math.inf:  # a NaN noise would compare False and add none
+        raise ValueError(f"noise must be finite and non-negative, got {noise}")
     phi_d_values = np.asarray(phi_d_values, dtype=float)
     phi_q_values = np.asarray(phi_q_values, dtype=float)
     dd, qq = np.meshgrid(phi_d_values, phi_q_values, indexing="ij")

@@ -36,7 +36,6 @@ from .energy import (
     _require_machine,
     _shared,
     _vector,
-    _zeros,
 )
 
 __all__ = [
@@ -160,10 +159,9 @@ def saturated_currents(c: SaturationCoefficients, phi):
 
 
 def incremental_inductance(c: SaturationCoefficients, phi):
-    """Jacobian di/dphi of the quartic model, symmetric, shape (..., 2, 2), 1/H."""
-    phi_d, y = _components(phi)
-    x = phi_d - c.phi_M
-    dd, dq, qq = _shared(SaturatedPmsmEnergy, c)._hessian_kernel(0.0, x, y, _zeros(x))
+    """Jacobian di/dphi of the quartic model, symmetric, shape (..., 2, 2), 1/H; warns outside the fitted box."""
+    m = _shared(SaturatedPmsmEnergy, c)
+    dd, dq, qq = m._hessian_kernel(*m._variables(0.0, 0.0, _components(phi)))
     return np.stack([_vector((dd, dq)), _vector((dq, qq))], axis=-2)
 
 
