@@ -39,6 +39,7 @@ from .energy import (
     LinearPmsmParams,
     MachineState,
     _magnet_box,
+    _require_flux_range,
     kinetic_coefficient,
     linear_energy,
     synrm_energy,
@@ -102,6 +103,13 @@ def _number(value, path: str) -> float:
 def _positive(value, path: str) -> float:
     number = _number(value, path)
     _check(number > 0.0, path, f"expected a positive number, got {value!r}")
+    return number
+
+
+def _magnet_flux(value, path: str, read: Callable = _number) -> float:
+    """A magnet flux phi_M: the number ``read`` takes, in the range of :func:`~enermach.energy._require_flux_range`."""
+    number = read(value, path)
+    _build(_require_flux_range, path, phi_M=number)
     return number
 
 
@@ -217,7 +225,7 @@ def _zero_axis(value, path: str) -> ZeroAxisSeries:
 
 
 _REQUIRED_NUMBER = (_number, _REQUIRED)
-_LINEAR = {"L_d": _REQUIRED_NUMBER, "L_q": _REQUIRED_NUMBER, "phi_M": (_number, 0.0)}
+_LINEAR = {"L_d": _REQUIRED_NUMBER, "L_q": _REQUIRED_NUMBER, "phi_M": (_magnet_flux, 0.0)}
 _SATURATED = {"phi_M": _REQUIRED_NUMBER, "saturation": (_any, _REQUIRED)}
 _HARMONIC = {**_SATURATED, "harmonics": (_harmonic_terms, ()), "zero_axis": (_zero_axis, None)}
 _INDUCTION = dict.fromkeys(("L_s", "L_r", "L_m", "R_r"), _REQUIRED_NUMBER)
@@ -331,7 +339,7 @@ def _build_initial(block, path: str, model: EnergyModel) -> MachineState:
 # ---------------------------------------------------------------------------
 # analysis sections
 
-_IDENTIFY = {"phi_M": (_positive, None), "refine_phi_M": (_boolean, False)}
+_IDENTIFY = {"phi_M": (partial(_magnet_flux, read=_positive), None), "refine_phi_M": (_boolean, False)}
 _RIPPLE = {
     "theta_min": (_number, 0.0),
     "theta_max": (_number, 2.0 * math.pi / 3.0),

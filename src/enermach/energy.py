@@ -18,9 +18,11 @@ on first use, into one straight-line Python function (:func:`_compile`).
 All shipped models broadcast: ``phi`` may carry leading batch dimensions
 (shape ``(..., flux_dim)``) with ``theta`` and ``rho`` broadcastable
 against them.  One state (a one-dimensional ``phi``) is evaluated in
-Python floats by the same code.  The simulator reaches a model only
-through ``EnergyModel._stage_source``: the source lines of one evaluation
-in Python floats, which it writes into the generated code of a whole
+Python floats by the same code, and a batch of more than ``_BLOCK``
+states block by block (:func:`_blockwise`), so that its temporaries stay
+a fixed size.  The simulator reaches a model only through
+``EnergyModel._stage_source``: the source lines of one evaluation in
+Python floats, which it writes into the generated code of a whole
 integrator step.  The five shipped kinds emit their table kernel inline;
 any other model emits a call to ``EnergyModel._step_gradient``.
 """
@@ -29,6 +31,8 @@ from __future__ import annotations
 
 import abc
 import math
+import os
+import sys
 import types
 import warnings
 from dataclasses import dataclass, fields
@@ -138,6 +142,27 @@ class SaturationRangeWarning(UserWarning):
     """Polynomial evaluated outside the flux box it was fitted on."""
 
 
+# the file name of generated code, and the directory of the library's modules
+_GENERATED = "<enermach generated>"
+_LIBRARY = os.path.dirname(__file__) + os.sep
+
+
+def _caller_level() -> int:
+    """The ``stacklevel`` that makes a warning its caller raises name the library's caller.
+
+    That is the first frame outside the library's modules and generated
+    code; the command line, though in the package, is a caller.
+    """
+    frame, level = sys._getframe(1), 1
+    while frame is not None and _in_library(frame.f_code.co_filename):
+        frame, level = frame.f_back, level + 1
+    return level
+
+
+def _in_library(filename: str) -> bool:
+    return filename == _GENERATED or (filename.startswith(_LIBRARY) and os.path.basename(filename) != "cli.py")
+
+
 class _Excursions:
     """Evaluations outside a fitted flux box during one run, reported in one warning.
 
@@ -229,6 +254,16 @@ def _require_machine(p) -> None:
         raise ValueError("R_s must be non-negative")
 
 
+def _require_flux_range(phi_M: float) -> None:
+    """The range rule of a magnet flux: phi_M is 0, or phi_M**4, the highest power a quartic takes of it, is a nonzero float."""
+    try:
+        if phi_M == 0.0 or phi_M**4 != 0.0:
+            return
+    except OverflowError:
+        pass
+    raise ValueError(f"phi_M = {phi_M!r} is out of range: phi_M**4 must be a nonzero float")
+
+
 def _magnet_box(m) -> tuple:
     """A model's magnet flux phi_M and the half-width of its flux box: phi_M, or 0.25 Wb without a magnet."""
     phi_M = float(getattr(getattr(m, "params", None), "phi_M", 0.0))
@@ -274,8 +309,61 @@ def _zeros(*values):
     """0.0 when every value is a Python float, else zeros of their broadcast shape."""
     for v in values:
         if not isinstance(v, float):
-            return np.zeros(np.broadcast_shapes(*(np.shape(v) for v in values)))
+            return np.zeros(np.broadcast(*values).shape)
     return 0.0
+
+
+# the most states one pass of the array path holds temporaries for
+_BLOCK = 8192
+
+
+def _block_keys(shape: tuple):
+    """Index tuples that cut ``shape`` along its leading axes into blocks of at most ``_BLOCK`` states, in order."""
+    inner = math.prod(shape[1:])
+    if inner > _BLOCK:
+        for k in range(shape[0]):
+            for key in _block_keys(shape[1:]):
+                yield (slice(k, k + 1), *key)
+    else:
+        step = _BLOCK // inner
+        for lo in range(0, shape[0], step):
+            yield (slice(lo, lo + step),)
+
+
+def _part(a, key: tuple, shape: tuple):
+    """The block ``key`` of the states ``shape``, of an argument broadcast against them."""
+    if isinstance(a, float) or not a.ndim:
+        return a
+    if a.shape == shape:
+        return a[key]
+    return a[tuple(k if n > 1 else slice(None) for k, n in zip(key[len(shape) - a.ndim :], a.shape))]
+
+
+def _blockwise(f, args, stacked: int = 0) -> tuple:
+    """``f(*args)``, a tuple of results over the states ``args`` broadcast to, the first ``stacked`` as one array.
+
+    ``args`` are Python floats, passed whole, and arrays.  Up to ``_BLOCK``
+    states take one call.  A larger batch is cut along its leading axes
+    (:func:`_block_keys`), an array argument is sliced with each block, and
+    each block's results are written into full-size arrays.  A state's
+    numbers take the same operations in any block, so the results are the
+    same bit for bit.  The first ``stacked`` results come as one
+    ``(..., stacked)`` array, as :func:`_vector` stacks them.
+    """
+    shape = np.broadcast(*args).shape
+    if math.prod(shape) <= _BLOCK:
+        out = f(*args)
+        return (_vector(out[:stacked]), *out[stacked:]) if stacked else out
+    args = [a if isinstance(a, float) else np.asarray(a, dtype=float) for a in args]
+    out = None
+    for key in _block_keys(shape):
+        parts = f(*(_part(a, key, shape) for a in args))
+        if out is None:
+            vector = np.empty((*shape, stacked))
+            out = [vector[..., k] for k in range(stacked)] + [np.empty(shape) for _ in parts[stacked:]]
+        for whole, part in zip(out, parts):
+            whole[key] = part
+    return (vector, *out[stacked:]) if stacked else tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +435,7 @@ def _factory(source: str, names) -> types.CodeType:
     code = _CODES.get(factory)
     if code is None:
         namespace: dict = {}
-        exec(compile(factory, "<enermach generated>", "exec"), namespace)
+        exec(compile(factory, _GENERATED, "exec"), namespace)
         code = _CODES[factory] = namespace["factory"].__code__
     return code
 
@@ -497,6 +585,7 @@ class LinearPmsmParams:
         if self.L_d <= 0.0 or self.L_q <= 0.0:
             raise ValueError("inductances must be positive")
         _require_machine(self)
+        _require_flux_range(self.phi_M)
 
 
 class PolynomialEnergy(EnergyModel):
@@ -555,54 +644,79 @@ class PolynomialEnergy(EnergyModel):
 
     __getstate__ = _state_without_kernels
 
-    def _check_box(self, x, y):
-        # the warning points at the caller of the public method; one state
-        # is checked in floats, and only a batch pays for reductions
+    def _check_box(self, extremes):
+        # warns once for all states, from the (max x, -min x, max y, -min y)
+        # of each block, or the (|x|, |y|) of one state: max |x| is max(max x,
+        # -min x), with no |x| array; NaN in x never warns, and max() skips
+        # it in y.  One state or block is checked with no array reduction
         if self._box is None:
             return
-        # max |x| is max(max x, -min x), with no |x| array; NaN in x never warns, and max() skips it in y
-        if isinstance(x, float):
-            worst = max(abs(x), abs(y))
-        else:
-            worst = float(max(x.max(), -x.min(), y.max(), -y.min()))
+        worst = float(max(*(extremes[0] if len(extremes) == 1 else np.max(extremes, axis=0))))
         if worst > self._box:
             warnings.warn(
                 f"flux deviation {worst:.4g} Wb exceeds the saturation model's "
                 f"fitted range |x|,|y| <= {self._box:.4g} Wb",
                 SaturationRangeWarning,
-                stacklevel=4,
+                stacklevel=_caller_level(),
             )
 
-    def _variables(self, theta, rho, columns):
-        # the kernel arguments from the flux components: theta, x, y, ... and a zero of the result's shape
+    def _arguments(self, theta, rho, columns, extremes: list):
+        # the kernel arguments from the flux components: theta, x, y, ... and a
+        # zero of the result's shape; a model with a box appends the extremes
+        # of x and y to ``extremes`` (see _check_box)
         phi_d, *others = columns
         x = phi_d - self._phi_M
-        self._check_box(x, others[0])
+        if self._box is not None:
+            y = others[0]
+            extremes.append((abs(x), abs(y)) if isinstance(x, float) else (x.max(), -x.min(), y.max(), -y.min()))
         return theta, x, *others, _zeros(theta, rho, x)
 
+    def _run(self, kernel, theta, rho, phi, finish=None, stacked=0):
+        """The outputs of ``kernel`` at the states, block by block (:func:`_blockwise`).
+
+        The flux box is checked once for all states.  ``finish(rho, outputs)``
+        maps a block's outputs to the results; ``stacked`` is that of
+        :func:`_blockwise`.
+        """
+        extremes: list = []
+
+        def block(theta, rho, *columns):
+            out = kernel(*self._arguments(theta, rho, columns, extremes))
+            return out if finish is None else finish(rho, out)
+
+        out = _blockwise(block, (theta, rho, *_components(phi)), stacked)
+        self._check_box(extremes)
+        return out
+
     def evaluate(self, theta, rho, phi):
-        (h,) = self._energy_kernel(*self._variables(theta, rho, _components(phi)))
+        (h,) = self._run(self._energy_kernel, theta, rho, phi, self._with_kinetic)
+        return h
+
+    def _with_kinetic(self, rho, out):
         rho = _num(rho)
-        return 0.5 * self._kappa * (rho * rho) + h
+        return (0.5 * self._kappa * (rho * rho) + out[0],)
 
     def d_flux(self, theta, rho, phi):
-        return _vector(self._current_kernel(*self._variables(theta, rho, _components(phi))))
+        return self._run(self._current_kernel, theta, rho, phi, stacked=self.flux_dim)[0]
 
     def _d_flux_columns(self, theta, rho, columns):
         # the current kernel reads the columns with no stack, unless a subclass has its own d_flux
         if type(self).d_flux is not PolynomialEnergy.d_flux:
             return super()._d_flux_columns(theta, rho, columns)
-        return self._current_kernel(*self._variables(theta, rho, columns))
+        extremes: list = []
+        args = self._arguments(theta, rho, columns, extremes)
+        self._check_box(extremes)
+        return self._current_kernel(*args)
 
     def d_theta(self, theta, rho, phi):
-        return self._angle_kernel(*self._variables(theta, rho, _components(phi)))[0]
+        return self._run(self._angle_kernel, theta, rho, phi)[0]
 
     def d_rho(self, theta, rho, phi):
         return self._kappa * _num(rho)
 
     def gradient(self, theta, rho, phi):
-        *i, h_theta = self._gradient_kernel(*self._variables(theta, rho, _components(phi)))
-        return _vector(i), self._kappa * _num(rho), h_theta
+        i, h_theta = self._run(self._gradient_kernel, theta, rho, phi, stacked=self.flux_dim)
+        return i, self._kappa * _num(rho), h_theta
 
     def _stage_source(self, env):
         # the fused gradient kernel inline, with the box check counting
@@ -673,7 +787,8 @@ def torque(m: EnergyModel, theta, rho, phi):
     phi = np.asarray(phi, dtype=float)
     i, _, h_theta = m.gradient(theta, rho, phi)
     i = np.asarray(i, dtype=float)
-    return _torque(m.pole_pairs, h_theta, i[..., 0], i[..., 1], phi[..., 0], phi[..., 1])
+    n_p = m.pole_pairs
+    return _blockwise(lambda *a: (_torque(n_p, *a),), (h_theta, i[..., 0], i[..., 1], phi[..., 0], phi[..., 1]))[0]
 
 
 # the one torque expression, as source, in its angle and cross parts:

@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .dynamics import Trajectory, _data_lines
-from .energy import _compile, _d_flux_table, _require_finite, _table
+from .energy import _compile, _d_flux_table, _require_finite, _require_flux_range, _table
 from .saturation import _QUARTIC, SaturationCoefficients, _phi_M_powers, saturated_currents
 
 __all__ = [
@@ -155,6 +155,7 @@ def fit_saturation(samples: Sequence[FluxSample], phi_M: float, refine_phi_M: bo
     m = float(phi_M)
     if not math.isfinite(m):
         raise ValueError(f"phi_M must be finite, got {phi_M}")
+    _require_flux_range(m)
     converged = True
     iterations = 0
     if refine_phi_M:

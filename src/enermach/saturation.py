@@ -30,12 +30,11 @@ from .energy import (
     PolynomialEnergy,
     SaturationRangeWarning,
     _compile,
-    _components,
     _d_flux_table,
     _require_finite,
+    _require_flux_range,
     _require_machine,
     _shared,
-    _vector,
 )
 
 __all__ = [
@@ -129,13 +128,8 @@ def _phi_M_powers(phi_M: float, message: str) -> list:
     """phi_M**p of each row of _QUARTIC; ValueError(``message``) unless phi_M > 0, and one naming a phi_M out of range."""
     if phi_M <= 0.0:
         raise ValueError(message)
-    try:
-        powers = [phi_M**p for *_, p in _QUARTIC]
-        if 0.0 not in powers:
-            return powers
-    except OverflowError:
-        pass
-    raise ValueError(f"phi_M = {phi_M!r} is out of range for the scaled form: phi_M**4 must be a nonzero float")
+    _require_flux_range(phi_M)
+    return [phi_M**p for *_, p in _QUARTIC]
 
 
 def _quartic_terms(c: SaturationCoefficients) -> dict:
@@ -161,8 +155,8 @@ def saturated_currents(c: SaturationCoefficients, phi):
 def incremental_inductance(c: SaturationCoefficients, phi):
     """Jacobian di/dphi of the quartic model, symmetric, shape (..., 2, 2), 1/H; warns outside the fitted box."""
     m = _shared(SaturatedPmsmEnergy, c)
-    dd, dq, qq = m._hessian_kernel(*m._variables(0.0, 0.0, _components(phi)))
-    return np.stack([_vector((dd, dq)), _vector((dq, qq))], axis=-2)
+    (h,) = m._run(m._hessian_kernel, 0.0, 0.0, phi, stacked=3)  # d2H/dx2, d2H/dxdy, d2H/dy2
+    return np.take(h, [0, 1, 1, 2], axis=-1).reshape(*h.shape[:-1], 2, 2)
 
 
 class SaturatedPmsmEnergy(PolynomialEnergy):

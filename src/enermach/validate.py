@@ -7,13 +7,15 @@ or Jacobian entry seen among the samples), so tolerances transfer between
 machines of different size.  Checks are pure functions of (model, box,
 n_samples, seed): rerunning one is bit-reproducible.  A sample's numbers
 take the same operations in any batch and maxima are order-free, so
-splitting the sample set into blocks, as the reciprocity check does,
-leaves a report unchanged.  Numpy loops run over the sample axis: a
-(..., flux_dim) array is split into its component columns, because an
-operation broadcast or reduced over a trailing axis of length 2 or 4
-costs several times more per element.  The reciprocity check holds one
-flux_dim**2 * n_samples Jacobian, and a table model takes its probes column
-by column.  The checks of one set share one draw and H at it (``_last``).
+splitting the sample set into blocks leaves a report unchanged.  Every
+check works on blocks of ``_BLOCK`` samples, the block of the energy
+kernels: only the draw, H at it and the per-sample violations are full
+size.  Numpy loops run over the sample axis: a (..., flux_dim) array is
+split into its component columns, because an operation broadcast or
+reduced over a trailing axis of length 2 or 4 costs several times more per
+element.  The reciprocity check holds one flux_dim**2 * _BLOCK Jacobian at
+a time, and a table model takes its probes column by column.  The checks
+of one set share one draw and H at it (``_last``).
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from .energy import EnergyModel, _magnet_box, _require_whole, _shared
+from .energy import _BLOCK, EnergyModel, _block_keys, _magnet_box, _require_whole, _shared
 from .induction import ImEnergy, ImParams
 from .saturation import SaturationRangeWarning
 
@@ -41,9 +43,6 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * math.pi
-
-# reciprocity samples per block times flux_dim**2: 4 * _BLOCK probe flux vectors per block
-_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -168,14 +167,30 @@ def _report(name, tol, theta, rho, phi, per_point, scale) -> CheckReport:
 
 
 def _h_comparison_report(name, tol, theta, rho, phi, h1, h2) -> CheckReport:
-    h1 = np.asarray(h1, dtype=float)
-    h2 = np.asarray(h2, dtype=float)
-    diff = np.abs(h1 - h2)
-    return _report(name, tol, theta, rho, phi, diff, max(float(np.max(np.abs(h1))), float(np.max(np.abs(h2)))))
+    """The report of H ``h1`` against ``h2`` at all samples."""
+    return _h_blocks_report(name, tol, theta, rho, phi, [(h1, h2)])
+
+
+def _h_blocks_report(name, tol, theta, rho, phi, pairs) -> CheckReport:
+    """The report of H against H, given as ``(h1, h2)`` pairs over consecutive blocks of the samples."""
+    diff, tops, lo = np.empty(theta.size), [], 0
+    for h1, h2 in pairs:
+        h1 = np.asarray(h1, dtype=float)
+        h2 = np.asarray(h2, dtype=float)
+        d = diff[lo : lo + h1.size]
+        np.abs(np.subtract(h1, h2, out=d), out=d)
+        tops.append((np.max(np.abs(h1)), np.max(np.abs(h2))))
+        lo += h1.size
+    top1, top2 = np.max(tops, axis=0)
+    return _report(name, tol, theta, rho, phi, diff, max(float(top1), float(top2)))
 
 
 def _identity(name, m: EnergyModel, tol, theta, rho, phi, image) -> CheckReport:
-    """H at the samples against H at their ``image``, a ``(theta, rho, phi)`` triple."""
+    """H at the samples against H at their images; ``image(block)`` is the ``(theta, rho, phi)`` of a slice of them.
+
+    The images are made, evaluated and compared ``_BLOCK`` samples at a
+    time, with the flux box warnings off: H at the samples has warned.
+    """
     global _last
     last = _last
     if last[1] is theta and last[5] is m:
@@ -184,7 +199,11 @@ def _identity(name, m: EnergyModel, tol, theta, rho, phi, image) -> CheckReport:
         h = m.evaluate(theta, rho, phi)
         if last[1] is theta:
             _last = (*last[:5], m, h)
-    return _h_comparison_report(name, tol, theta, rho, phi, h, m.evaluate(*image))
+    h = np.asarray(h, dtype=float)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SaturationRangeWarning)
+        pairs = ((h[b], m.evaluate(*image(b))) for (b,) in _block_keys(theta.shape))
+        return _h_blocks_report(name, tol, theta, rho, phi, pairs)
 
 
 def check_reciprocity(
@@ -203,44 +222,54 @@ def check_reciprocity(
     quartic flux dependence), so the check also catches hand-written
     current maps that drifted away from any energy function.  Steps are
     h = fd_step * max(1, |phi|) and 2h.  One d_flux call per block of
-    samples takes all its probes (2 signs x 2 steps x flux_dim directions).
+    samples takes all its probes (2 signs x 2 steps x flux_dim directions),
+    and the Jacobian is held and reduced ``_BLOCK`` samples at a time.
     """
     if fd_step == 0.0 or not math.isfinite(fd_step):
         raise ValueError(f"fd_step must be finite and nonzero, got {fd_step!r}")
     _, theta, rho, phi = _draw(m, box, seed, n_samples)
+    dim = phi.shape[1]
+    per_point, tops = np.zeros(theta.size), []
+    # the probe steps straddle the box edge by 2h; that is intended here
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SaturationRangeWarning)
+        for (b,) in _block_keys(theta.shape):
+            jac = _jacobian(m, theta[b], rho[b], phi[b], fd_step)
+            # |J_jk - J_kj| is |J_kj - J_jk|; the diagonal keeps a non-finite J_jj as
+            # nan.  max |J| is max(max J, -min J), with no |J| array
+            worst, diff = per_point[b], np.empty(jac.shape[2])
+            for j in range(dim):
+                for k in range(j, dim):
+                    np.maximum(worst, np.abs(np.subtract(jac[j, k], jac[k, j], out=diff), out=diff), out=worst)
+            tops.append(np.maximum(jac.max(), -jac.min()))
+    return _report("reciprocity", tol, theta, rho, phi, per_point, float(np.max(tops)))
+
+
+def _jacobian(m: EnergyModel, theta, rho, phi, fd_step: float) -> np.ndarray:
+    """The Jacobian ``[j, k, sample] = di_k/dphi_j`` at the samples, one d_flux call per ``_BLOCK // flux_dim**2``."""
     dim = phi.shape[1]
     norm2 = phi[:, 0] * phi[:, 0]
     for k in range(1, dim):
         norm2 += phi[:, k] * phi[:, k]
     h = fd_step * np.maximum(1.0, np.sqrt(norm2))
     steps = np.stack([h, 2.0 * h])
-    block = _BLOCK // dim**2
-    jac = np.empty((dim, dim, theta.size))  # [j, k, sample] = di_k/dphi_j
-    # the probe steps straddle the box edge by 2h; that is intended here
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", SaturationRangeWarning)
-        for lo in range(0, theta.size, block):
-            blk = slice(lo, lo + block)
-            step = steps[:, blk]
-            # probes[k, sign, r, j]: component k of phi +/- step[r] along j, +/- 0.0 along the others
-            probes = np.empty((dim, 2, 2, dim, step.shape[1]))
-            for k in range(dim):
-                np.add(phi[blk, k], 0.0, out=probes[k, 0])
-                probes[k, 1] = phi[blk, k]
-                np.add(phi[blk, k], step, out=probes[k, 0, :, k])
-                np.subtract(phi[blk, k], step, out=probes[k, 1, :, k])
-            den = 2.0 * step[:, None]
-            for k, i in enumerate(m._d_flux_columns(theta[blk], rho[blk], probes)):
-                c = (i[0] - i[1]) / den
-                jac[:, k, blk] = (4.0 * c[0] - c[1]) / 3.0
-
-    # |J_jk - J_kj| is |J_kj - J_jk|; the diagonal keeps a non-finite J_jj as
-    # nan.  max |J| is max(max J, -min J), with no |J| array
-    per_point, diff = np.zeros(theta.size), np.empty(theta.size)
-    for j in range(dim):
-        for k in range(j, dim):
-            np.maximum(per_point, np.abs(np.subtract(jac[j, k], jac[k, j], out=diff), out=diff), out=per_point)
-    return _report("reciprocity", tol, theta, rho, phi, per_point, float(np.maximum(jac.max(), -jac.min())))
+    block = _BLOCK // dim**2  # 4 * _BLOCK probe flux vectors per call
+    jac = np.empty((dim, dim, theta.size))
+    for lo in range(0, theta.size, block):
+        blk = slice(lo, lo + block)
+        step = steps[:, blk]
+        # probes[k, sign, r, j]: component k of phi +/- step[r] along j, +/- 0.0 along the others
+        probes = np.empty((dim, 2, 2, dim, step.shape[1]))
+        for k in range(dim):
+            np.add(phi[blk, k], 0.0, out=probes[k, 0])
+            probes[k, 1] = phi[blk, k]
+            np.add(phi[blk, k], step, out=probes[k, 0, :, k])
+            np.subtract(phi[blk, k], step, out=probes[k, 1, :, k])
+        den = 2.0 * step[:, None]
+        for k, i in enumerate(m._d_flux_columns(theta[blk], rho[blk], probes)):
+            c = (i[0] - i[1]) / den
+            jac[:, k, blk] = (4.0 * c[0] - c[1]) / 3.0
+    return jac
 
 
 def check_period(
@@ -252,7 +281,7 @@ def check_period(
 ) -> CheckReport:
     """H(theta + pi/3) == H(theta) at random states: the ripple period of every magnet model."""
     _, theta, rho, phi = _draw(m, box, seed, n_samples)
-    return _identity("period", m, tol, theta, rho, phi, (theta + math.pi / 3.0, rho, phi))
+    return _identity("period", m, tol, theta, rho, phi, lambda b: (theta[b] + math.pi / 3.0, rho[b], phi[b]))
 
 
 def check_parity(
@@ -266,9 +295,13 @@ def check_parity(
     if m.flux_dim != 2:
         raise ValueError("parity check applies to two-component flux models")
     _, theta, rho, phi = _draw(m, box, seed, n_samples)
-    phi_flip = phi.copy()
-    phi_flip[:, 1] *= -1.0
-    return _identity("parity", m, tol, theta, rho, phi, (-theta, -rho, phi_flip))
+
+    def image(b):
+        phi_flip = phi[b].copy()
+        phi_flip[:, 1] *= -1.0
+        return -theta[b], -rho[b], phi_flip
+
+    return _identity("parity", m, tol, theta, rho, phi, image)
 
 
 def check_synrm_evenness(
@@ -282,7 +315,7 @@ def check_synrm_evenness(
     if m.flux_dim != 2:
         raise ValueError("evenness check applies to two-component flux models")
     _, theta, rho, phi = _draw(m, box, seed, n_samples)
-    return _identity("synrm_evenness", m, tol, theta, rho, phi, (theta, rho, -phi))
+    return _identity("synrm_evenness", m, tol, theta, rho, phi, lambda b: (theta[b], rho[b], -phi[b]))
 
 
 def check_im_rotation(
@@ -302,10 +335,14 @@ def check_im_rotation(
         raise ValueError("rotation check applies to stacked stator/rotor flux models")
     rng, theta, rho, phi = _draw(m, box, seed, n_samples)
     eta = rng.uniform(-math.pi, math.pi, theta.size)
-    c, s = np.cos(eta), np.sin(eta)
-    rot = np.empty_like(phi)
-    rot[:, 0] = c * phi[:, 0] - s * phi[:, 1]
-    rot[:, 1] = s * phi[:, 0] + c * phi[:, 1]
-    rot[:, 2] = c * phi[:, 2] - s * phi[:, 3]
-    rot[:, 3] = s * phi[:, 2] + c * phi[:, 3]
-    return _identity("im_rotation", m, tol, theta, rho, phi, (theta, rho, rot))
+
+    def image(b):
+        c, s, p = np.cos(eta[b]), np.sin(eta[b]), phi[b]
+        rot = np.empty_like(p)
+        rot[:, 0] = c * p[:, 0] - s * p[:, 1]
+        rot[:, 1] = s * p[:, 0] + c * p[:, 1]
+        rot[:, 2] = c * p[:, 2] - s * p[:, 3]
+        rot[:, 3] = s * p[:, 2] + c * p[:, 3]
+        return theta[b], rho[b], rot
+
+    return _identity("im_rotation", m, tol, theta, rho, phi, image)
