@@ -15,6 +15,7 @@ in every frame.  Conventions:
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -39,6 +40,7 @@ __all__ = [
     "k_transform",
     "conjugated_permutation",
     "conjugated_swap",
+    "DQ_IDENTITIES",
 ]
 
 _SQRT_2_3 = math.sqrt(2.0 / 3.0)
@@ -185,3 +187,36 @@ def conjugated_permutation() -> np.ndarray:
 def conjugated_swap() -> np.ndarray:
     """CLARKE @ SWAP_BC @ CLARKE.T: block-diagonal, planar reflection."""
     return CLARKE @ SWAP_BC @ CLARKE.T
+
+
+# H(image(theta, rho, phi, eta)) == H(theta, rho, phi) for a block of states, flux
+# (n, flux_dim); eta is the block's part of the angles draw(rng, n), or None
+_DqIdentity = namedtuple("_DqIdentity", "image draw", defaults=(None,))
+
+
+def _swap(theta, rho, phi, eta):
+    flipped = phi.copy()
+    flipped[:, 1] *= -1.0
+    return -theta, -rho, flipped
+
+
+def _turn(theta, rho, phi, eta):
+    c, s, rot = np.cos(eta), np.sin(eta), np.empty_like(phi)
+    for k in (0, 2):
+        rot[:, k] = c * phi[:, k] - s * phi[:, k + 1]
+        rot[:, k + 1] = s * phi[:, k] + c * phi[:, k + 1]
+    return theta, rho, rot
+
+
+#: The identities the construction symmetries give the energy in the rotating frame.
+#: ``period``: -PERMUTE, the phase-pitch turn 2 pi/3 after the pole-pitch turn pi that
+#: reverses every current, turns the frame by pi/3 and keeps the dq flux.  ``parity``:
+#: SWAP_BC mirrors the machine, so theta, rho and phi_q change sign.  ``synrm_evenness``:
+#: with no magnet, reversing every current reverses every flux.  ``im_rotation``: with
+#: no rotor saliency, one angle turns the stator and rotor flux pairs alike.
+DQ_IDENTITIES = {
+    "period": _DqIdentity(lambda theta, rho, phi, eta: (theta + math.pi / 3.0, rho, phi)),
+    "parity": _DqIdentity(_swap),
+    "synrm_evenness": _DqIdentity(lambda theta, rho, phi, eta: (theta, rho, -phi)),
+    "im_rotation": _DqIdentity(_turn, lambda rng, n: rng.uniform(-math.pi, math.pi, n)),
+}

@@ -1,23 +1,21 @@
 """Self-consistency checks for energy models.
 
 Every check samples its claim at random points in an operating box and
-reports the worst violation, absolute and relative.  Relative means
-divided by the natural scale of the quantity compared (the largest energy
-or Jacobian entry seen among the samples), so tolerances transfer between
-machines of different size.  Checks are pure functions of (model, box,
-n_samples, seed): rerunning one is bit-reproducible.  A sample's numbers
-take the same operations in any batch and maxima are order-free, so
-splitting the sample set into blocks leaves a report unchanged.  Every
-check works on blocks of ``_BLOCK`` samples, the block of the energy
-kernels: only the draw, H at it and the per-sample violations are full
-size.  Numpy loops run over the sample axis: a (..., flux_dim) array is
-split into its component columns, because an operation broadcast or
-reduced over a trailing axis of length 2 or 4 costs several times more per
-element.  The reciprocity check holds one flux_dim**2 * _BLOCK Jacobian at
-a time, and a table model takes its probes column by column.  The checks
-of one set share one draw and H at it (``_last``).
+reports the worst violation, absolute and relative to the natural scale of
+the quantity compared (the largest energy or Jacobian entry among the
+samples), so tolerances transfer between machines of different size.
+Checks are pure functions of (model, box, n_samples, seed); the checks of
+one set share one draw and H at it (``_last``).  The four H identities are
+those of the table :data:`enermach.frames.DQ_IDENTITIES`.  A sample's
+numbers take the same operations in any block and maxima are order-free,
+so a report is the same whatever the blocks: every check works on blocks
+of ``_BLOCK`` samples, the block of the energy kernels, and only the draw,
+H at it and the per-sample violations are full size.  Numpy loops run over
+the sample axis, as an operation broadcast or reduced over a trailing axis
+of length 2 or 4 costs several times more per element; the reciprocity
+check holds one flux_dim**2 * _BLOCK Jacobian at a time, and a table model
+takes its probes column by column.
 """
-
 from __future__ import annotations
 
 import math
@@ -28,6 +26,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from .energy import _BLOCK, EnergyModel, _block_keys, _magnet_box, _require_whole, _shared
+from .frames import DQ_IDENTITIES
 from .induction import ImEnergy, ImParams
 from .saturation import SaturationRangeWarning
 
@@ -152,26 +151,16 @@ def _report(name, tol, theta, rho, phi, per_point, scale) -> CheckReport:
     scale = max(scale, 1.0e-30)
     max_rel = max_abs / scale
     point = {"theta": float(theta[worst]), "rho": float(rho[worst])}
-    for k in range(phi.shape[1]):
-        point[f"phi_{k}"] = float(phi[worst, k])
-    return CheckReport(
-        name=name,
-        samples=int(theta.size),
-        tolerance=tol,
-        max_abs=max_abs,
-        scale=scale,
-        max_rel=max_rel,
-        passed=bool(max_rel < tol),
-        worst_point=point,
-    )
+    point.update({f"phi_{k}": float(phi[worst, k]) for k in range(phi.shape[1])})
+    return CheckReport(name, int(theta.size), tol, max_abs, scale, max_rel, bool(max_rel < tol), point)
 
 
 def _h_comparison_report(name, tol, theta, rho, phi, h1, h2) -> CheckReport:
     """The report of H ``h1`` against ``h2`` at all samples."""
-    return _h_blocks_report(name, tol, theta, rho, phi, [(h1, h2)])
+    return _compare(name, tol, theta, rho, phi, [(h1, h2)])
 
 
-def _h_blocks_report(name, tol, theta, rho, phi, pairs) -> CheckReport:
+def _compare(name, tol, theta, rho, phi, pairs) -> CheckReport:
     """The report of H against H, given as ``(h1, h2)`` pairs over consecutive blocks of the samples."""
     diff, tops, lo = np.empty(theta.size), [], 0
     for h1, h2 in pairs:
@@ -185,25 +174,28 @@ def _h_blocks_report(name, tol, theta, rho, phi, pairs) -> CheckReport:
     return _report(name, tol, theta, rho, phi, diff, max(float(top1), float(top2)))
 
 
-def _identity(name, m: EnergyModel, tol, theta, rho, phi, image) -> CheckReport:
-    """H at the samples against H at their images; ``image(block)`` is the ``(theta, rho, phi)`` of a slice of them.
+def _identity(name, m: EnergyModel, n_samples, tol, seed, box) -> CheckReport:
+    """H at the samples against H at their images under ``DQ_IDENTITIES[name]``.
 
-    The images are made, evaluated and compared ``_BLOCK`` samples at a
-    time, with the flux box warnings off: H at the samples has warned.
+    H at the samples is evaluated once per set; the images are made,
+    evaluated and compared ``_BLOCK`` samples at a time, with the flux box
+    warnings off: H at the samples has warned.
     """
     global _last
-    last = _last
-    if last[1] is theta and last[5] is m:
-        h = last[6]
-    else:
-        h = m.evaluate(theta, rho, phi)
-        if last[1] is theta:
-            _last = (*last[:5], m, h)
+    identity = DQ_IDENTITIES[name]
+    rng, theta, rho, phi = _draw(m, box, seed, n_samples)
+    eta = identity.draw(rng, theta.size) if identity.draw else None
+    h = _last[6] if _last[1] is theta and _last[5] is m else m.evaluate(theta, rho, phi)
+    if _last[1] is theta:
+        _last = (*_last[:5], m, h)
     h = np.asarray(h, dtype=float)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", SaturationRangeWarning)
-        pairs = ((h[b], m.evaluate(*image(b))) for (b,) in _block_keys(theta.shape))
-        return _h_blocks_report(name, tol, theta, rho, phi, pairs)
+        pairs = (
+            (h[b], m.evaluate(*identity.image(theta[b], rho[b], phi[b], None if eta is None else eta[b])))
+            for (b,) in _block_keys(theta.shape)
+        )
+        return _compare(name, tol, theta, rho, phi, pairs)
 
 
 def check_reciprocity(
@@ -273,57 +265,32 @@ def _jacobian(m: EnergyModel, theta, rho, phi, fd_step: float) -> np.ndarray:
 
 
 def check_period(
-    m: EnergyModel,
-    n_samples: int = 10_000,
-    tol: float = 1.0e-10,
-    seed: int = 0,
-    box: Optional[SampleBox] = None,
+    m: EnergyModel, n_samples: int = 10_000, tol: float = 1.0e-10, seed: int = 0, box: Optional[SampleBox] = None
 ) -> CheckReport:
     """H(theta + pi/3) == H(theta) at random states: the ripple period of every magnet model."""
-    _, theta, rho, phi = _draw(m, box, seed, n_samples)
-    return _identity("period", m, tol, theta, rho, phi, lambda b: (theta[b] + math.pi / 3.0, rho[b], phi[b]))
+    return _identity("period", m, n_samples, tol, seed, box)
 
 
 def check_parity(
-    m: EnergyModel,
-    n_samples: int = 10_000,
-    tol: float = 1.0e-10,
-    seed: int = 0,
-    box: Optional[SampleBox] = None,
+    m: EnergyModel, n_samples: int = 10_000, tol: float = 1.0e-10, seed: int = 0, box: Optional[SampleBox] = None
 ) -> CheckReport:
     """H(theta, rho, phi_d, phi_q) == H(-theta, -rho, phi_d, -phi_q)."""
     if m.flux_dim != 2:
         raise ValueError("parity check applies to two-component flux models")
-    _, theta, rho, phi = _draw(m, box, seed, n_samples)
-
-    def image(b):
-        phi_flip = phi[b].copy()
-        phi_flip[:, 1] *= -1.0
-        return -theta[b], -rho[b], phi_flip
-
-    return _identity("parity", m, tol, theta, rho, phi, image)
+    return _identity("parity", m, n_samples, tol, seed, box)
 
 
 def check_synrm_evenness(
-    m: EnergyModel,
-    n_samples: int = 10_000,
-    tol: float = 1.0e-10,
-    seed: int = 0,
-    box: Optional[SampleBox] = None,
+    m: EnergyModel, n_samples: int = 10_000, tol: float = 1.0e-10, seed: int = 0, box: Optional[SampleBox] = None
 ) -> CheckReport:
     """H(theta, rho, phi) == H(theta, rho, -phi): no magnet, no odd terms."""
     if m.flux_dim != 2:
         raise ValueError("evenness check applies to two-component flux models")
-    _, theta, rho, phi = _draw(m, box, seed, n_samples)
-    return _identity("synrm_evenness", m, tol, theta, rho, phi, lambda b: (theta[b], rho[b], -phi[b]))
+    return _identity("synrm_evenness", m, n_samples, tol, seed, box)
 
 
 def check_im_rotation(
-    machine,
-    n_samples: int = 10_000,
-    tol: float = 1.0e-10,
-    seed: int = 0,
-    box: Optional[SampleBox] = None,
+    machine, n_samples: int = 10_000, tol: float = 1.0e-10, seed: int = 0, box: Optional[SampleBox] = None
 ) -> CheckReport:
     """Induction machine energy is invariant under a common rotation of both fluxes.
 
@@ -333,16 +300,4 @@ def check_im_rotation(
     m = _shared(ImEnergy, machine) if isinstance(machine, ImParams) else machine
     if m.flux_dim != 4:
         raise ValueError("rotation check applies to stacked stator/rotor flux models")
-    rng, theta, rho, phi = _draw(m, box, seed, n_samples)
-    eta = rng.uniform(-math.pi, math.pi, theta.size)
-
-    def image(b):
-        c, s, p = np.cos(eta[b]), np.sin(eta[b]), phi[b]
-        rot = np.empty_like(p)
-        rot[:, 0] = c * p[:, 0] - s * p[:, 1]
-        rot[:, 1] = s * p[:, 0] + c * p[:, 1]
-        rot[:, 2] = c * p[:, 2] - s * p[:, 3]
-        rot[:, 3] = s * p[:, 2] + c * p[:, 3]
-        return theta[b], rho[b], rot
-
-    return _identity("im_rotation", m, tol, theta, rho, phi, image)
+    return _identity("im_rotation", m, n_samples, tol, seed, box)
