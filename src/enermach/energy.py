@@ -318,16 +318,22 @@ _BLOCK = 8192
 
 
 def _block_keys(shape: tuple):
-    """Index tuples that cut ``shape`` along its leading axes into blocks of at most ``_BLOCK`` states, in order."""
-    inner = math.prod(shape[1:])
-    if inner > _BLOCK:
-        for k in range(shape[0]):
-            for key in _block_keys(shape[1:]):
-                yield (slice(k, k + 1), *key)
+    """Index tuples that cut ``shape`` along its trailing axes into blocks of at most ``_BLOCK`` states.
+
+    A one-axis shape is cut in order.  An argument of lower rank, which
+    numpy aligns with the trailing axes, is cut with the states, so each of
+    its values falls in one block: the angle terms of a theta that runs
+    along the last axis, as reciprocity's probes take it, are taken once.
+    """
+    outer = math.prod(shape[:-1])
+    if outer > _BLOCK:
+        for key in _block_keys(shape[:-1]):
+            for k in range(shape[-1]):
+                yield (*key, slice(k, k + 1))
     else:
-        step = _BLOCK // inner
-        for lo in range(0, shape[0], step):
-            yield (slice(lo, lo + step),)
+        step = _BLOCK // outer
+        for lo in range(0, shape[-1], step):
+            yield (*(slice(None),) * (len(shape) - 1), slice(lo, lo + step))
 
 
 def _part(a, key: tuple, shape: tuple):
@@ -343,7 +349,7 @@ def _blockwise(f, args, stacked: int = 0) -> tuple:
     """``f(*args)``, a tuple of results over the states ``args`` broadcast to, the first ``stacked`` as one array.
 
     ``args`` are Python floats, passed whole, and arrays.  Up to ``_BLOCK``
-    states take one call.  A larger batch is cut along its leading axes
+    states take one call.  A larger batch is cut along its trailing axes
     (:func:`_block_keys`), an array argument is sliced with each block, and
     each block's results are written into full-size arrays.  A state's
     numbers take the same operations in any block, so the results are the

@@ -3,7 +3,8 @@
 Each reference below is the earlier formula, kept verbatim: the sample
 draw, the blocked reciprocity check, the parity flip and the power
 balance's stacked sums.  The period, SynRM evenness and induction rotation
-checks are pinned to a draw-evaluate-compare written out check by check.
+checks are pinned to a draw-evaluate-compare written out check by check;
+every H identity compares the magnetic energy, at rho = 0.
 Trajectory CSVs are compared with the per-value ``{:.17g}`` text, and a
 header-only CSV reads back with zero rows.
 """
@@ -103,10 +104,11 @@ def _broadcast_reciprocity(m, n_samples=10_000, tol=1.0e-10, seed=0, box=None, f
 def _broadcast_parity(m, n_samples=10_000, tol=1.0e-10, seed=0, box=None):
     box = box or default_box(m)
     rng = np.random.default_rng(seed)
-    theta, rho, phi = _broadcast_draw(box, rng, n_samples)
+    theta, _, phi = _broadcast_draw(box, rng, n_samples)
+    rho = np.zeros(n_samples)
     h1 = m.evaluate(theta, rho, phi)
     h2 = m.evaluate(-theta, -rho, phi * np.array([1.0, -1.0]))
-    return validate._h_comparison_report("parity", tol, theta, rho, phi, h1, h2)
+    return _written_out_h_report("parity", tol, theta, rho, phi, h1, h2)
 
 
 def _stacked_power_balance(m, traj):
@@ -229,20 +231,23 @@ def _written_out_h_report(name, tol, theta, rho, phi, h1, h2):
 
 
 def _written_out_period(m, n_samples, tol, seed, box):
-    theta, rho, phi = box.draw(np.random.default_rng(seed), n_samples)
+    theta, _, phi = box.draw(np.random.default_rng(seed), n_samples)
+    rho = np.zeros(n_samples)
     h1, h2 = m.evaluate(theta, rho, phi), m.evaluate(theta + math.pi / 3.0, rho, phi)
     return _written_out_h_report("period", tol, theta, rho, phi, h1, h2)
 
 
 def _written_out_evenness(m, n_samples, tol, seed, box):
-    theta, rho, phi = box.draw(np.random.default_rng(seed), n_samples)
+    theta, _, phi = box.draw(np.random.default_rng(seed), n_samples)
+    rho = np.zeros(n_samples)
     h1, h2 = m.evaluate(theta, rho, phi), m.evaluate(theta, rho, -phi)
     return _written_out_h_report("synrm_evenness", tol, theta, rho, phi, h1, h2)
 
 
 def _written_out_rotation(m, n_samples, tol, seed, box):
     rng = np.random.default_rng(seed)
-    theta, rho, phi = box.draw(rng, n_samples)
+    theta, _, phi = box.draw(rng, n_samples)
+    rho = np.zeros(n_samples)
     eta = rng.uniform(-math.pi, math.pi, n_samples)
     c, s = np.cos(eta), np.sin(eta)
     rot = np.empty_like(phi)

@@ -105,6 +105,26 @@ def test_harmonic_model_takes_one_cos_sin_per_block(monkeypatch):
     assert seen == [(b,)] * (2 * orders)
 
 
+@pytest.mark.parametrize("wrap", ["bare", "delegate"])
+def test_a_model_without_column_probes_takes_the_trig_once_per_sample(wrap, monkeypatch):
+    # the default probe path hands d_flux 4 * flux_dim probes of each sample at once, more
+    # states than one kernel call takes: they are cut along the samples, not the probes
+    m = WRAPPERS[wrap](harmonic_energy(ipm_harmonic_model()))
+    seen = []
+    real = np.cos
+
+    def cos(x, *args, **kwargs):
+        seen.append(np.shape(x))
+        return real(x, *args, **kwargs)
+
+    monkeypatch.setattr(energy.np, "cos", cos)
+    b = _block(m)
+    check_reciprocity(m, n_samples=b)
+    orders = len(ipm_harmonic_model().terms)
+    assert sum(math.prod(shape) for shape in seen) == orders * b
+    assert seen == ([(b,)] * orders if wrap == "bare" else [(b // 2,)] * (2 * orders))
+
+
 CHECKS = {
     "reciprocity": (check_reciprocity, "saturated"),
     "period": (check_period, "saturated"),

@@ -153,16 +153,37 @@ def test_incremental_inductance_equals_one_kernel_call_at_block_boundaries(n):
 
 
 @pytest.mark.parametrize("kind", ["harmonic", "induction"])
-def test_batches_of_several_axes_are_cut_along_their_leading_axes(kind):
+def test_batches_of_several_axes_are_cut_along_their_trailing_axes(kind):
     m = MODELS[kind]()
     theta, rho, phi = _states(m, 3 * B, 5)
     dim = m.flux_dim
-    # rows longer than a block: each row is cut again; theta broadcasts along the rows
+    # rows longer than half a block: both rows a block, cut along them; theta broadcasts along the rows
     _assert_same(m, theta[: B + 3], rho[: B + 3], phi[: 2 * (B + 3)].reshape(2, B + 3, dim))
-    # rows shorter than a block: several rows a block, theta a column
+    # rows shorter than a block: all rows a block, cut along them, theta a column
     _assert_same(m, theta[:5, None], 0.0, phi[: 5 * 3000].reshape(5, 3000, dim))
+    # more rows than a block holds: each block is part of one column
+    _assert_same(m, theta[: B + 5, None], 0.0, phi[: 2 * (B + 5)].reshape(B + 5, 2, dim))
     # a batch axis of length 1 that broadcasts
     _assert_same(m, theta.reshape(3, B), rho[:B], phi[:B].reshape(1, B, dim))
+
+
+def test_a_theta_along_the_last_axis_takes_one_pass_of_the_trig(monkeypatch):
+    m = MODELS["harmonic"]()
+    theta, rho, phi = _states(m, 3000, 2)
+    seen = []
+    real = np.cos
+
+    def cos(x, *args, **kwargs):
+        seen.append(np.size(x))
+        return real(x, *args, **kwargs)
+
+    monkeypatch.setattr(energy.np, "cos", cos)
+    # the layout of reciprocity's probes: theta runs along the last of (sign, step, direction, sample)
+    probes = np.broadcast_to(phi.T[:, None, None, None, :], (2, 2, 2, 2, 3000)).copy()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SaturationRangeWarning)
+        m.d_flux(theta, rho, np.moveaxis(probes, 0, -1))
+    assert sum(seen) == 3000 * len(ipm_harmonic_model().terms)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning", "ignore::enermach.saturation.SaturationRangeWarning")
@@ -242,7 +263,8 @@ def _unblocked_check(check, m, n, tol, seed, box):
         return reference_check_reciprocity(m, n_samples=n, tol=tol, seed=seed, box=box)
     name, image = IMAGES[check]
     rng = np.random.default_rng(seed)
-    theta, rho, phi = box.draw(rng, n)
+    theta, _, phi = box.draw(rng, n)
+    rho = np.zeros(n)  # the identities compare the magnetic energy, at rho = 0
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", SaturationRangeWarning)
         h1 = np.asarray(m.evaluate(theta, rho, phi), dtype=float)
