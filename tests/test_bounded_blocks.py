@@ -180,7 +180,7 @@ def test_a_theta_along_the_last_axis_takes_one_pass_of_the_trig(monkeypatch):
     monkeypatch.setattr(energy.np, "cos", cos)
     # the layout of reciprocity's probes: theta runs along the last of (sign, step, direction, sample)
     probes = np.broadcast_to(phi.T[:, None, None, None, :], (2, 2, 2, 2, 3000)).copy()
-    with warnings.catch_warnings():
+    with warnings.catch_warnings(), np.errstate(all="ignore"):
         warnings.simplefilter("ignore", SaturationRangeWarning)
         m.d_flux(theta, rho, np.moveaxis(probes, 0, -1))
     assert sum(seen) == 3000 * len(ipm_harmonic_model().terms)

@@ -80,20 +80,20 @@ def test_only_the_rotation_draws_angles():
 # the identities compare the magnetic energy, whatever the rotor's inertia
 
 SATURATED = load_config(CONFIG_DIR / "saturated_ipm.yaml")
-
-
-def _kappa(rotor):
-    c = SATURATED.model.params
-    if rotor == "shipped":
-        return c.kinetic_coeff
-    if rotor == "kappa=1e-6":
-        return 1.0e-6
-    return kinetic_coefficient(float(rotor.split("=")[1]), c.n_p)
+_N_P = SATURATED.model.params.n_p
+# the kinetic coefficient of each rotor
+ROTORS = {
+    "shipped": SATURATED.model.params.kinetic_coeff,
+    "J=10": kinetic_coefficient(10.0, _N_P),
+    "J=1000": kinetic_coefficient(1000.0, _N_P),
+    "kappa=1e-6": 1.0e-6,
+    "J=1e200": kinetic_coefficient(1.0e200, _N_P),
+}
 
 
 def _ripple_mutant(rotor, eps):
     """saturated_ipm with an order-4 cos row on x**2 of eps times the d-axis well: no pi/3 period."""
-    c = dataclasses.replace(SATURATED.model.params, kinetic_coeff=_kappa(rotor))
+    c = dataclasses.replace(SATURATED.model.params, kinetic_coeff=ROTORS[rotor])
     m = PolynomialEnergy(*_magnet_table(c, [(4.0, {(2, 0): eps * 0.5 * c.inv_L_d}, {})]))
     m.params = c
     return m
@@ -113,7 +113,7 @@ def test_a_heavy_rotor_cannot_hide_a_broken_period(rotor, eps):
 
 def test_the_largest_passing_break_is_the_same_at_every_inertia():
     largest = {}
-    for rotor in ("shipped", "J=10", "J=1000", "kappa=1e-6", "J=1e200"):
+    for rotor in ROTORS:
         passing = [e for e in range(-12, 1) if _period(_ripple_mutant(rotor, 10.0**e)).passed]
         largest[rotor] = max(passing, default=None)
     assert set(largest.values()) == {largest["shipped"]}, largest
