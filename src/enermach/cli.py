@@ -25,13 +25,7 @@ from .dynamics import SimulationError, Trajectory, power_balance, simulate
 from .energy import _magnet_box
 from .harmonics import ripple_torque
 from .identify import RankDeficiencyError, fit_saturation, read_samples_csv, report_scaled
-from .validate import (
-    check_im_rotation,
-    check_parity,
-    check_period,
-    check_reciprocity,
-    check_synrm_evenness,
-)
+from .validate import checks_for
 
 __all__ = ["main"]
 
@@ -147,15 +141,9 @@ def cmd_flux_map(cfg: MotorConfig, args) -> int:
 
 
 def cmd_validate(cfg: MotorConfig, args) -> int:
-    if cfg.model.flux_dim == 4:
-        checks = [check_reciprocity, check_im_rotation]
-    else:
-        checks = [check_reciprocity, check_period, check_parity]
-        if cfg.model_kind == "synrm":
-            checks.append(check_synrm_evenness)
     seed = args.seed if args.seed is not None else cfg.seed
     n, tol = cfg.validate["n_samples"], cfg.validate["tol"]
-    reports = [check(cfg.model, n_samples=n, tol=tol, seed=seed) for check in checks]
+    reports = [check(cfg.model, n_samples=n, tol=tol, seed=seed) for check in checks_for(cfg.model)]
     for report in reports:
         _say(args, report.summary())
     failed = sum(not r.passed for r in reports)

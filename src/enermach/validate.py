@@ -41,6 +41,7 @@ __all__ = [
     "check_parity",
     "check_synrm_evenness",
     "check_im_rotation",
+    "checks_for",
 ]
 
 _TWO_PI = 2.0 * math.pi
@@ -297,3 +298,11 @@ def check_im_rotation(
     if m.flux_dim != 4:
         raise ValueError("rotation check applies to stacked stator/rotor flux models")
     return _identity("im_rotation", m, n_samples, tol, seed, box)
+
+
+def checks_for(m: EnergyModel) -> list:
+    """The checks machine ``m`` owes by how it is built, in report order; any without a magnet owes evenness."""
+    if m.flux_dim == 4:
+        return [check_reciprocity, check_im_rotation]
+    owed = [check_reciprocity, check_period, check_parity]
+    return owed + [check_synrm_evenness] if _magnet_box(m)[0] == 0.0 else owed
