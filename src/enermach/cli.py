@@ -4,8 +4,9 @@ Verbs: simulate, im-sim, identify, ripple, validate, flux-map, sweep, one
 row each of a verb table.  Every verb is given the one YAML config
 (--config) that main loads, writes CSV output (--out or a default under
 $ENERMACH_OUT_DIR), and prints a short summary unless --quiet.  Exit
-codes: 0 success, 1 config/input validation error, 2 numerical failure
-(simulation abort, rank deficiency, failed checks), 3 file I/O error.
+codes: 0 success, 1 config/input validation error or an allocation beyond
+memory, 2 numerical failure (simulation abort, rank deficiency, failed
+checks), 3 file I/O error.
 """
 
 from __future__ import annotations
@@ -235,12 +236,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(load_config(args.config), args)
-    except (ValueError, OSError, SimulationError) as e:
+    except (ValueError, OSError, SimulationError, MemoryError) as e:
         print(f"error: {e}", file=sys.stderr)
         # numeric errors first: a RankDeficiencyError is a ValueError too
         if isinstance(e, (RankDeficiencyError, SimulationError)):
             return EXIT_NUMERIC
-        return EXIT_CONFIG if isinstance(e, ValueError) else EXIT_IO
+        return EXIT_IO if isinstance(e, OSError) else EXIT_CONFIG
 
 
 if __name__ == "__main__":
