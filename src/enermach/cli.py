@@ -25,8 +25,6 @@ from .config import ConfigError, MotorConfig, load_config
 from .dynamics import SimulationError, Trajectory, power_balance, simulate
 from .energy import _magnet_box
 from .harmonics import ripple_torque
-from .identify import RankDeficiencyError, fit_saturation, read_samples_csv, report_scaled
-from .validate import checks_for
 
 __all__ = ["main"]
 
@@ -81,6 +79,7 @@ def cmd_run(cfg: MotorConfig, args) -> int:
 
 
 def cmd_identify(cfg: MotorConfig, args) -> int:
+    from .identify import fit_saturation, read_samples_csv, report_scaled
     samples = read_samples_csv(args.samples)
     phi_M = cfg.identify["phi_M"]
     if phi_M is None:
@@ -142,6 +141,7 @@ def cmd_flux_map(cfg: MotorConfig, args) -> int:
 
 
 def cmd_validate(cfg: MotorConfig, args) -> int:
+    from .validate import checks_for
     seed = args.seed if args.seed is not None else cfg.seed
     n, tol = cfg.validate["n_samples"], cfg.validate["tol"]
     reports = [check(cfg.model, n_samples=n, tol=tol, seed=seed) for check in checks_for(cfg.model)]
@@ -238,6 +238,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return args.func(load_config(args.config), args)
     except (ValueError, OSError, SimulationError, MemoryError) as e:
         print(f"error: {e}", file=sys.stderr)
+        from .identify import RankDeficiencyError  # only an error loads it
         # numeric errors first: a RankDeficiencyError is a ValueError too
         if isinstance(e, (RankDeficiencyError, SimulationError)):
             return EXIT_NUMERIC

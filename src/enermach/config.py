@@ -44,6 +44,7 @@ from .energy import (
     linear_energy,
     synrm_energy,
 )
+from .frames import DQ_IDENTITIES
 from .harmonics import (
     FluxPolynomial,
     HarmonicModel,
@@ -340,9 +341,10 @@ def _build_initial(block, path: str, model: EnergyModel) -> MachineState:
 # analysis sections
 
 _IDENTIFY = {"phi_M": (partial(_magnet_flux, read=_positive), None), "refine_phi_M": (_boolean, False)}
+_PERIOD = DQ_IDENTITIES["period"].shift
 _RIPPLE = {
     "theta_min": (_number, 0.0),
-    "theta_max": (_number, 2.0 * math.pi / 3.0),
+    "theta_max": (_number, 2.0 * _PERIOD),
     "n_points": (_integer, 361),
     "rho": (_number, 0.0),
     "phi": (_number_list, None),
@@ -354,6 +356,7 @@ def _build_ripple(block, path: str) -> Dict[str, Any]:
     out = _read(block, path, _RIPPLE)
     _check(out["n_points"] >= 2, f"{path}.n_points", "need at least 2 grid points")
     _check(out["theta_max"] > out["theta_min"], path, "theta_max must exceed theta_min")
+    _check(out["theta_max"] - out["theta_min"] >= _PERIOD - 1e-12, path, "theta grid must span at least pi/3")
     return out
 
 

@@ -194,10 +194,18 @@ def conjugated_swap() -> np.ndarray:
 _DqIdentity = namedtuple("_DqIdentity", "image draw", defaults=(None,))
 
 
-def _swap(theta, rho, phi, eta):
-    flipped = phi.copy()
-    flipped[:, 1] *= -1.0
-    return -theta, -rho, flipped
+class _SignMap(namedtuple("_SignMap", "flip shift signs draw", defaults=(None,))):
+    """theta and rho change sign if ``flip``, then theta gains ``shift``; each dq flux component takes its sign."""
+
+    def image(self, theta, rho, phi, eta):
+        theta, rho = (-theta, -rho) if self.flip else (theta, rho)
+        return (theta + self.shift if self.shift else theta), rho, (phi * self.signs if -1.0 in self.signs else phi)
+
+    def admits(self, w, trig, exponents):
+        """Whether the table row trig(w theta) * x**i * y**j ... is invariant, x = phi_d - phi_M and y = phi_q."""
+        turns = w * self.shift / math.pi  # half turns of the row's phase: whole ones, each a sign flip
+        flips = round(turns) + (trig == "sin" and self.flip) + sum(e for s, e in zip(self.signs, exponents) if s < 0.0)
+        return (trig == "sin" and w == 0) or (turns == round(turns) and flips % 2 == 0)  # sin(0 theta) is zero
 
 
 def _turn(theta, rho, phi, eta):
@@ -208,15 +216,15 @@ def _turn(theta, rho, phi, eta):
     return theta, rho, rot
 
 
-#: The identities the construction symmetries give the energy in the rotating frame.
+#: The identities the construction symmetries give the energy in the rotating frame, three as sign maps.
 #: ``period``: -PERMUTE, the phase-pitch turn 2 pi/3 after the pole-pitch turn pi that
 #: reverses every current, turns the frame by pi/3 and keeps the dq flux.  ``parity``:
 #: SWAP_BC mirrors the machine, so theta, rho and phi_q change sign.  ``synrm_evenness``:
 #: with no magnet, reversing every current reverses every flux.  ``im_rotation``: with
 #: no rotor saliency, one angle turns the stator and rotor flux pairs alike.
 DQ_IDENTITIES = {
-    "period": _DqIdentity(lambda theta, rho, phi, eta: (theta + math.pi / 3.0, rho, phi)),
-    "parity": _DqIdentity(_swap),
-    "synrm_evenness": _DqIdentity(lambda theta, rho, phi, eta: (theta, rho, -phi)),
+    "period": _SignMap(False, math.pi / 3.0, (1.0, 1.0)),
+    "parity": _SignMap(True, 0.0, (1.0, -1.0)),
+    "synrm_evenness": _SignMap(False, 0.0, (-1.0, -1.0)),
     "im_rotation": _DqIdentity(_turn, lambda rng, n: rng.uniform(-math.pi, math.pi, n)),
 }

@@ -1,16 +1,16 @@
 """Rotor-angle harmonics on top of the saturation model.
 
 Slotting and winding distribution make the energy depend on rotor angle.
-In rotating coordinates that dependence collapses onto multiples of six
-electrical degrees per period... more precisely onto cos(6k*theta) and
+In rotating coordinates the energy repeats every pi/3 electrical radians,
+so that dependence has only the angle orders 6k: cos(6k*theta) and
 sin(6k*theta), with flux-dependent amplitudes:
 
     H = H_sat(rho, phi) + sum_k [ a_6k(x, y) cos(6k theta) + b_6k(x, y) sin(6k theta) ]
 
-where x = phi_d - phi_M, y = phi_q.  Amplitude polynomials obey a parity
-rule: cos amplitudes are even in y, sin amplitudes odd in y.  That rule is
-what makes torque and currents pi/3-periodic in theta and keeps the
-spectrum of the ripple on multiples of six.
+where x = phi_d - phi_M, y = phi_q.  The mirror symmetry of the winding
+adds a parity rule: cos amplitudes are even in y, sin amplitudes odd in y.
+Both rules are the ``admits`` of the ``period`` and ``parity`` entries of
+:data:`enermach.frames.DQ_IDENTITIES`.
 
 The zero axis gets its own periodic flux map phi0(theta) with fundamental
 period 2*pi/3; its time derivative sets the neutral-point voltage of a
@@ -41,6 +41,7 @@ from .energy import (
     _zeros,
     torque,
 )
+from .frames import DQ_IDENTITIES
 from .saturation import SaturationCoefficients, _magnet_table
 
 __all__ = [
@@ -106,8 +107,8 @@ class FluxPolynomial:
 class HarmonicTerm:
     """One angle harmonic of order 6k, 1 <= k <= 2**53, with its amplitude polynomials.
 
-    ``a_poly`` multiplies cos(6k theta) and must be even in y; ``b_poly``
-    multiplies sin(6k theta) and must be odd in y.
+    ``a_poly`` multiplies cos(6k theta), ``b_poly`` sin(6k theta); the ``parity`` entry of
+    :data:`enermach.frames.DQ_IDENTITIES` admits cos rows even in y and sin rows odd in y.
     """
 
     k: int
@@ -118,9 +119,9 @@ class HarmonicTerm:
         _require_whole(self.k, 1, "harmonic index k must be a positive integer")
         if self.k > _COUNT_MAX:
             raise ValueError(f"harmonic index k must be at most 2**53, got {self.k}")
-        for name, parity, trig, power in (("a_poly", 0, "cos", "even"), ("b_poly", 1, "sin", "odd")):
+        for name, trig, power in (("a_poly", "cos", "even"), ("b_poly", "sin", "odd")):
             for (i, j), c in getattr(self, name).coeffs.items():
-                if c != 0.0 and j % 2 != parity:
+                if c != 0.0 and not DQ_IDENTITIES["parity"].admits(6 * self.k, trig, (i, j)):
                     raise ValueError(
                         f"{name}[{i},{j}] of harmonic k={self.k}: {trig} amplitudes must "
                         f"have {power} powers of phi_q"
@@ -197,7 +198,7 @@ def ripple_torque(model: EnergyModel, theta_grid, rho, phi):
     spectral claims can actually be checked on the result.
     """
     theta_grid = _finite_array(theta_grid, "theta_grid")
-    if theta_grid.size < 2 or theta_grid.max() - theta_grid.min() < np.pi / 3.0 - 1e-12:
+    if theta_grid.size < 2 or theta_grid.max() - theta_grid.min() < DQ_IDENTITIES["period"].shift - 1e-12:
         raise ValueError("theta grid must span at least pi/3")
     return torque(model, theta_grid, rho, np.asarray(phi, dtype=float))
 
