@@ -307,10 +307,7 @@ def _vector(parts):
 
 def _zeros(*values):
     """0.0 when every value is a Python float, else zeros of their broadcast shape."""
-    for v in values:
-        if not isinstance(v, float):
-            return np.zeros(np.broadcast(*values).shape)
-    return 0.0
+    return 0.0 if all(isinstance(v, float) for v in values) else np.zeros(np.broadcast(*values).shape)
 
 
 # the most states one pass of the array path holds temporaries for
@@ -604,10 +601,11 @@ class PolynomialEnergy(EnergyModel):
     lists ``(w, a, b)``: a and b map exponent tuples (i, j, ...) to the
     coefficients of x**i y**j ... in A_w and B_w.  The constructor builds
     the monomial tables of H, of dH along each variable (the currents) and
-    of dH/dtheta; each method runs one function compiled from the tables it
-    needs (:func:`_compile`), on first use, so building a model to validate
-    a config compiles nothing.  The simulator inlines the gradient tables
-    into its generated step (:meth:`_stage_source`), from the same generator.
+    of dH/dtheta.  Each method, the Hessian d2H/dv_j dv_k (j <= k) included,
+    runs one function compiled on first use from the tables it needs
+    (:func:`_compile`), block by block (:meth:`_run`), so building a model
+    to validate a config compiles nothing.  The simulator inlines the
+    gradient tables into its generated step (:meth:`_stage_source`).
 
     ``box`` is the half-width of the flux box |x|, |y| <= box the
     coefficients are trusted in; outside it the public methods warn
@@ -645,6 +643,12 @@ class PolynomialEnergy(EnergyModel):
         return _compile((*self._h_flux, self._h_theta), self.flux_dim)
 
     @cached_property
+    def _hessian_kernel(self):
+        # d2H/dv_j dv_k for j <= k, row by row: d2H/dx2, d2H/dxdy, d2H/dy2 at two variables
+        dim = self.flux_dim
+        return _compile([_d_flux_table(self._h_flux[j], k) for j in range(dim) for k in range(j, dim)], dim)
+
+    @cached_property
     def _programs(self):
         return {}
 
@@ -680,25 +684,24 @@ class PolynomialEnergy(EnergyModel):
     def _run(self, kernel, theta, rho, phi, finish=None, stacked=0):
         """The outputs of ``kernel`` at the states, block by block (:func:`_blockwise`).
 
-        The flux box is checked once for all states.  ``finish(rho, outputs)``
-        maps a block's outputs to the results; ``stacked`` is that of
-        :func:`_blockwise`.
+        The flux box is checked once for all states.  ``finish(rho, columns,
+        outputs)`` maps a block's flux components and outputs to its results;
+        ``stacked`` is that of :func:`_blockwise`.
         """
         extremes: list = []
 
         def block(theta, rho, *columns):
             out = kernel(*self._arguments(theta, rho, columns, extremes))
-            return out if finish is None else finish(rho, out)
+            return out if finish is None else finish(rho, columns, out)
 
         out = _blockwise(block, (theta, rho, *_components(phi)), stacked)
         self._check_box(extremes)
         return out
 
     def evaluate(self, theta, rho, phi):
-        (h,) = self._run(self._energy_kernel, theta, rho, phi, self._with_kinetic)
-        return h
+        return self._run(self._energy_kernel, theta, rho, phi, self._with_kinetic)[0]
 
-    def _with_kinetic(self, rho, out):
+    def _with_kinetic(self, rho, columns, out):
         rho = _num(rho)
         return (0.5 * self._kappa * (rho * rho) + out[0],)
 
@@ -788,12 +791,17 @@ def torque(m: EnergyModel, theta, rho, phi):
     """Electromagnetic torque, T = -n_p * dH/dtheta + n_p * (i_q*phi_d - i_d*phi_q).
 
     The cross product is taken on the first (stator) flux pair for every
-    model; with it the power balance of a simulated run closes.
+    model; with it the power balance of a simulated run closes.  A table
+    model that keeps :meth:`PolynomialEnergy.gradient` makes one blocked
+    pass of its gradient kernel; any other model's gradient comes whole.
     """
+    n_p = m.pole_pairs
+    if isinstance(m, PolynomialEnergy) and type(m).gradient is PolynomialEnergy.gradient:
+        (t,) = m._run(m._gradient_kernel, theta, rho, phi, lambda rho, phi, out: (_torque(n_p, out[-1], *out[:2], *phi[:2]),))
+        return t if isinstance(t, np.ndarray) else np.float64(t)  # one state: a numpy float, as the other path gives
     phi = np.asarray(phi, dtype=float)
     i, _, h_theta = m.gradient(theta, rho, phi)
     i = np.asarray(i, dtype=float)
-    n_p = m.pole_pairs
     return _blockwise(lambda *a: (_torque(n_p, *a),), (h_theta, i[..., 0], i[..., 1], phi[..., 0], phi[..., 1]))[0]
 
 

@@ -227,7 +227,7 @@ def neutral_voltage(model: HarmonicPmsmEnergy, t, theta, rho, v_s0=0.0):
     rho = _finite_array(rho, "rho")
     v_s0 = _finite_array(v_s0, "v_s0")
     with np.errstate(over="ignore", invalid="ignore"):  # dphi0/dt = phi0'(theta) * omega may overflow
-        v_n = (v_s0 - series.d_theta(theta) * model.d_rho(theta, rho, np.zeros(theta.shape + (2,)))) / _SQRT_3
+        v_n = (v_s0 - series.d_theta(theta) * model.d_rho(theta, rho, np.zeros(2))) / _SQRT_3
     if not np.all(np.isfinite(v_n)):
         raise ValueError(f"theta or rho overflows v_N at sample {np.argmin(np.isfinite(v_n))}")
     return v_n

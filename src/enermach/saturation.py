@@ -22,15 +22,12 @@ scaled form, the config's coefficient keys and the design matrix of
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .energy import (
     PolynomialEnergy,
     SaturationRangeWarning,
-    _compile,
-    _d_flux_table,
     _require_finite,
     _require_flux_range,
     _require_machine,
@@ -165,12 +162,6 @@ class SaturatedPmsmEnergy(PolynomialEnergy):
     def __init__(self, coefficients: SaturationCoefficients):
         self.params = coefficients
         super().__init__(*_magnet_table(coefficients))
-
-    @cached_property
-    def _hessian_kernel(self):
-        # d2H/dx2, d2H/dxdy, d2H/dy2
-        h_x, h_y = self._h_x, self._h_y
-        return _compile((_d_flux_table(h_x, 0), _d_flux_table(h_x, 1), _d_flux_table(h_y, 1)))
 
 
 def saturated_energy(c: SaturationCoefficients) -> SaturatedPmsmEnergy:
