@@ -19,8 +19,9 @@ All shipped models broadcast: ``phi`` may carry leading batch dimensions
 (shape ``(..., flux_dim)``) with ``theta`` and ``rho`` broadcastable
 against them.  One state (a one-dimensional ``phi``) is evaluated in
 Python floats by the same code, and a batch of more than ``_BLOCK``
-states block by block (:func:`_blockwise`), so that its temporaries stay
-a fixed size.  The simulator reaches a model only through
+states block by block (:func:`_blockwise`), so that the temporaries of
+one kernel call stay a fixed size; :func:`torque` holds the whole
+batch's gradient before its own blocked pass.  The simulator reaches a model only through
 ``EnergyModel._stage_source``: the source lines of one evaluation in
 Python floats, which it writes into the generated code of a whole
 integrator step.  The five shipped kinds emit their table kernel inline;
@@ -307,7 +308,10 @@ def _vector(parts):
 
 def _zeros(*values):
     """0.0 when every value is a Python float, else zeros of their broadcast shape."""
-    return 0.0 if all(isinstance(v, float) for v in values) else np.zeros(np.broadcast(*values).shape)
+    for v in values:
+        if not isinstance(v, float):
+            return np.zeros(np.broadcast(*values).shape)
+    return 0.0
 
 
 # the most states one pass of the array path holds temporaries for
@@ -684,24 +688,25 @@ class PolynomialEnergy(EnergyModel):
     def _run(self, kernel, theta, rho, phi, finish=None, stacked=0):
         """The outputs of ``kernel`` at the states, block by block (:func:`_blockwise`).
 
-        The flux box is checked once for all states.  ``finish(rho, columns,
-        outputs)`` maps a block's flux components and outputs to its results;
-        ``stacked`` is that of :func:`_blockwise`.
+        The flux box is checked once for all states.  ``finish(rho, outputs)``
+        maps a block's outputs to the results; ``stacked`` is that of
+        :func:`_blockwise`.
         """
         extremes: list = []
 
         def block(theta, rho, *columns):
             out = kernel(*self._arguments(theta, rho, columns, extremes))
-            return out if finish is None else finish(rho, columns, out)
+            return out if finish is None else finish(rho, out)
 
         out = _blockwise(block, (theta, rho, *_components(phi)), stacked)
         self._check_box(extremes)
         return out
 
     def evaluate(self, theta, rho, phi):
-        return self._run(self._energy_kernel, theta, rho, phi, self._with_kinetic)[0]
+        (h,) = self._run(self._energy_kernel, theta, rho, phi, self._with_kinetic)
+        return h
 
-    def _with_kinetic(self, rho, columns, out):
+    def _with_kinetic(self, rho, out):
         rho = _num(rho)
         return (0.5 * self._kappa * (rho * rho) + out[0],)
 
@@ -791,17 +796,12 @@ def torque(m: EnergyModel, theta, rho, phi):
     """Electromagnetic torque, T = -n_p * dH/dtheta + n_p * (i_q*phi_d - i_d*phi_q).
 
     The cross product is taken on the first (stator) flux pair for every
-    model; with it the power balance of a simulated run closes.  A table
-    model that keeps :meth:`PolynomialEnergy.gradient` makes one blocked
-    pass of its gradient kernel; any other model's gradient comes whole.
+    model; with it the power balance of a simulated run closes.
     """
-    n_p = m.pole_pairs
-    if isinstance(m, PolynomialEnergy) and type(m).gradient is PolynomialEnergy.gradient:
-        (t,) = m._run(m._gradient_kernel, theta, rho, phi, lambda rho, phi, out: (_torque(n_p, out[-1], *out[:2], *phi[:2]),))
-        return t if isinstance(t, np.ndarray) else np.float64(t)  # one state: a numpy float, as the other path gives
     phi = np.asarray(phi, dtype=float)
     i, _, h_theta = m.gradient(theta, rho, phi)
     i = np.asarray(i, dtype=float)
+    n_p = m.pole_pairs
     return _blockwise(lambda *a: (_torque(n_p, *a),), (h_theta, i[..., 0], i[..., 1], phi[..., 0], phi[..., 1]))[0]
 
 
